@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   RecDB db;
   bool timing = true;
   // Session totals for the batch scoring layer (summed over statements).
-  unsigned long long predict_calls = 0;
+  unsigned long long predictions = 0;
   unsigned long long predict_batches = 0;
 
   if (argc > 1) {
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(sched.total_tasks()),
             sched.total_worker_ms());
         std::printf("  scoring: %llu predictions in %llu batches\n",
-                    predict_calls, predict_batches);
+                    predictions, predict_batches);
       } else if (trimmed == "\\metrics" || trimmed == "\\metrics all") {
         // `\metrics` hides zero-valued entries; `\metrics all` shows every
         // metric in the registry (the full inventory of metric_names.h).
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", result.status().ToString().c_str());
     } else {
       const auto& rs = result.value();
-      predict_calls += rs.stats.predict_calls;
+      predictions += rs.stats.predictions;
       predict_batches += rs.stats.predict_batches;
       if (!rs.columns.empty()) {
         std::printf("%s(%zu rows", rs.ToString(40).c_str(), rs.NumRows());

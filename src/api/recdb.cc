@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/shard.h"
 #include "common/string_util.h"
 #include "common/task_scheduler.h"
 #include "common/timer.h"
@@ -133,9 +132,6 @@ RecDB::RecDB(RecDBOptions options, std::unique_ptr<DiskManager> disk)
                             : std::make_unique<InMemoryDiskManager>()),
       clock_(&default_clock_),
       trace_enabled_(options.trace) {
-  // The constructor cannot return a Status; an out-of-range shard config is
-  // remembered and surfaced by Execute/BulkInsert (never silently clamped).
-  options_status_ = ValidateShardOptions(options_);
   background_refresh_.store(options_.background_refresh);
   if (options_.parallelism > 0) {
     TaskScheduler::SetGlobalParallelism(options_.parallelism);
@@ -165,25 +161,8 @@ RecDB::~RecDB() {
   }
 }
 
-Status ValidateShardOptions(const RecDBOptions& options) {
-  if (options.shard_count < 1 ||
-      options.shard_count > static_cast<size_t>(kMaxShardCount)) {
-    return Status::InvalidArgument(
-        "shard_count must be in [1, " + std::to_string(kMaxShardCount) +
-        "], got " + std::to_string(options.shard_count));
-  }
-  if (options.shard_index >= options.shard_count) {
-    return Status::InvalidArgument(
-        "shard_index must be in [0, shard_count), got " +
-        std::to_string(options.shard_index) + " with shard_count " +
-        std::to_string(options.shard_count));
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<RecDB>> RecDB::Open(const std::string& path,
                                            RecDBOptions options) {
-  RECDB_RETURN_NOT_OK(ValidateShardOptions(options));
   RECDB_ASSIGN_OR_RETURN(auto data, FileDiskManager::Open(path));
   RECDB_ASSIGN_OR_RETURN(auto wal, FileDiskManager::Open(path + ".wal"));
   return OpenWithDisks(std::move(data), std::move(wal), options);
@@ -192,7 +171,6 @@ Result<std::unique_ptr<RecDB>> RecDB::Open(const std::string& path,
 Result<std::unique_ptr<RecDB>> RecDB::OpenWithDisks(
     std::unique_ptr<DiskManager> data, std::unique_ptr<DiskManager> wal,
     RecDBOptions options) {
-  RECDB_RETURN_NOT_OK(ValidateShardOptions(options));
   bool existing = data != nullptr && data->NumPages() > 0;
   auto db = std::unique_ptr<RecDB>(new RecDB(options, std::move(data)));
   if (wal != nullptr) {
@@ -590,7 +568,6 @@ Status RecDB::LoadMeta(std::vector<RecommenderConfig>* configs) {
 
 Result<ResultSet> RecDB::Execute(const std::string& sql) {
   if (closed_.load()) return Status::InvalidArgument("database is closed");
-  RECDB_RETURN_NOT_OK(options_status_);
   if (trace_enabled_.load()) return ExecuteTraced(sql);
   RECDB_ASSIGN_OR_RETURN(auto stmts, Parser::Parse(sql));
   bool writer = false;
@@ -716,8 +693,6 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
         // node's actual emitted-row count appears next to its estimate.
         NotifyRecommendQuery(*plan);
         ExecContext ctx;
-        ctx.shard_count = static_cast<uint32_t>(options_.shard_count);
-        ctx.shard_index = static_cast<uint32_t>(options_.shard_index);
         RECDB_ASSIGN_OR_RETURN(auto exec, CreateExecutor(*plan, &ctx));
         RECDB_RETURN_NOT_OK(exec->Init());
         while (true) {
@@ -854,46 +829,6 @@ Result<ResultSet> RecDB::ExecuteSet(const SetStatement& stmt) {
         std::string("background_refresh ") + (enable ? "enabled" : "disabled");
     return rs;
   }
-  if (stmt.option == "shard_count" || stmt.option == "shard_index") {
-    if (stmt.value.type() != TypeId::kInt64) {
-      return Status::InvalidArgument("SET " + stmt.option +
-                                     " expects an integer value");
-    }
-    const int64_t n = stmt.value.AsInt();
-    RecDBOptions candidate = options_;
-    if (stmt.option == "shard_count") {
-      if (n < 1 || static_cast<uint64_t>(n) > kMaxShardCount) {
-        return Status::InvalidArgument(
-            "SET shard_count requires a value in [1, " +
-            std::to_string(kMaxShardCount) + "], got " + std::to_string(n));
-      }
-      candidate.shard_count = static_cast<size_t>(n);
-      // Shrinking the shard space below the configured index is as invalid
-      // as setting the index out of range directly.
-      if (candidate.shard_index >= candidate.shard_count) {
-        return Status::InvalidArgument(
-            "SET shard_count = " + std::to_string(n) +
-            " would strand shard_index " +
-            std::to_string(candidate.shard_index) +
-            "; lower shard_index first");
-      }
-    } else {
-      if (n < 0 || static_cast<uint64_t>(n) >= candidate.shard_count) {
-        return Status::InvalidArgument(
-            "SET shard_index requires a value in [0, " +
-            std::to_string(candidate.shard_count - 1) +
-            "] (shard_count = " + std::to_string(candidate.shard_count) +
-            "), got " + std::to_string(n));
-      }
-      candidate.shard_index = static_cast<size_t>(n);
-    }
-    RECDB_RETURN_NOT_OK(ValidateShardOptions(candidate));
-    options_.shard_count = candidate.shard_count;
-    options_.shard_index = candidate.shard_index;
-    ResultSet rs;
-    rs.message = stmt.option + " set to " + std::to_string(n);
-    return rs;
-  }
   return Status::InvalidArgument("unknown option in SET: " + stmt.option);
 }
 
@@ -913,8 +848,6 @@ Result<ResultSet> RecDB::ExecuteSelect(const SelectStatement& stmt) {
   int exec_span = tracer != nullptr ? tracer->BeginSpan("execute") : -1;
   ExecContext ctx;
   ctx.tracer = tracer;
-  ctx.shard_count = static_cast<uint32_t>(options_.shard_count);
-  ctx.shard_index = static_cast<uint32_t>(options_.shard_index);
   RECDB_ASSIGN_OR_RETURN(auto exec, CreateExecutor(*plan, &ctx));
   RECDB_RETURN_NOT_OK(exec->Init());
 
@@ -959,43 +892,11 @@ Result<ResultSet> RecDB::ExecuteCreateTable(const CreateTableStatement& stmt) {
   return rs;
 }
 
-namespace {
-
-// Serving-layer ownership test (DESIGN.md §14). Rows of a partitioned table
-// whose user id is NULL or non-INT cannot be hashed; they live on shard 0
-// only, so exactly one shard stores each row.
-bool ShardOwnsRow(const RecDBOptions& options, const Tuple& row,
-                  size_t user_idx) {
-  if (user_idx == SIZE_MAX) return true;
-  const Value& u = row.At(user_idx);
-  if (u.is_null() || u.type() != TypeId::kInt64) {
-    return options.shard_index == 0;
-  }
-  return ShardOfUser(u.AsInt(), static_cast<uint32_t>(options.shard_count)) ==
-         options.shard_index;
-}
-
-}  // namespace
-
-size_t RecDB::PartitionUserIndexLocked(const TableInfo& table) const {
-  if (options_.shard_count <= 1) return SIZE_MAX;
-  auto part = partitioned_tables_.find(ToLower(table.name));
-  if (part == partitioned_tables_.end()) return SIZE_MAX;
-  auto idx = table.schema.IndexOf(part->second);
-  return idx.ok() ? idx.value() : SIZE_MAX;
-}
-
 Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
   RECDB_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(stmt.table_name));
   const Schema& schema = table->schema;
   ExecSchema empty_schema;
   Tuple empty_tuple;
-  // Serving-layer partition filter: when this engine is one shard behind the
-  // router, a broadcast INSERT lands only its owned rows in the heap (and
-  // therefore this shard's WAL) but feeds EVERY row to the recommenders, so
-  // all shards apply the identical global rating stream in identical order
-  // (replicated model plane, partitioned storage plane).
-  const size_t part_user_idx = PartitionUserIndexLocked(*table);
   // Land every row in the heap first, then feed the recommenders once: a
   // multi-row INSERT becomes one versioned delta batch instead of N.
   std::vector<Tuple> applied;
@@ -1023,20 +924,12 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
       st = build.status();
       break;
     }
-    if (ShardOwnsRow(options_, build.value(), part_user_idx)) {
-      st = table->heap->Insert(build.value()).status();
-      if (!st.ok()) break;
-      if (part_user_idx != SIZE_MAX) {
-        obs::Count(obs::Counter::kServingDmlRowsRouted);
-      }
-    } else {
-      obs::Count(obs::Counter::kServingDmlRowsFiltered);
-    }
+    st = table->heap->Insert(build.value()).status();
+    if (!st.ok()) break;
     applied.push_back(std::move(build).value());
   }
-  // Notify every processed row — including ones the ownership filter kept
-  // out of the heap — even on failure: recommender state must match the
-  // global statement's observable contents on every shard.
+  // Notify every applied row even on failure: recommender state must match
+  // the heap's contents.
   std::vector<RatingRowOp> ops;
   ops.reserve(applied.size());
   for (const Tuple& t : applied) ops.push_back({/*remove=*/false, &t});
@@ -1064,53 +957,6 @@ Result<Recommender*> RecDB::CreateRecommender(RecommenderConfig config) {
   Status commit = CommitWal();
   if (!commit.ok() && rec.ok()) return commit;
   return rec;
-}
-
-Result<Recommender*> RecDB::CreateRecommenderWithMatrix(
-    RecommenderConfig config, std::shared_ptr<RatingMatrix> matrix) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  auto rec = CreateRecommenderLocked(std::move(config), /*write_log=*/true,
-                                     std::move(matrix));
-  lock.unlock();
-  Status commit = CommitWal();
-  if (!commit.ok() && rec.ok()) return commit;
-  return rec;
-}
-
-Status RecDB::DeclarePartitionedTable(const std::string& table,
-                                      const std::string& user_col) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
-  RECDB_RETURN_NOT_OK(info->schema.IndexOf(user_col).status());
-  partitioned_tables_[ToLower(info->name)] = user_col;
-  return Status::OK();
-}
-
-Status RecDB::ApplyRatingFeed(const std::string& table,
-                              const std::vector<ResultSet::RatingFeedOp>& ops) {
-  if (ops.empty()) return Status::OK();
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
-  const Schema& schema = info->schema;
-  std::vector<Tuple> tuples;
-  tuples.reserve(ops.size());
-  for (const auto& op : ops) {
-    if (op.values.size() != schema.NumColumns()) {
-      return Status::InvalidArgument("rating feed row width mismatch for " +
-                                     info->name);
-    }
-    tuples.emplace_back(op.values);
-  }
-  std::vector<RatingRowOp> row_ops;
-  row_ops.reserve(ops.size());
-  for (size_t k = 0; k < ops.size(); ++k) {
-    row_ops.push_back({ops[k].remove, &tuples[k]});
-  }
-  obs::Count(obs::Counter::kServingFeedOps, ops.size());
-  return NotifyRatingOps(info->name, schema, row_ops);
 }
 
 Result<Recommender*> RecDB::CreateRecommenderLocked(
@@ -1322,19 +1168,12 @@ Result<ResultSet> RecDB::ExecuteDelete(const DeleteStatement& stmt) {
                          CollectMatching(table, stmt.where.get()));
   std::vector<RatingRowOp> ops;
   ops.reserve(victims.size());
-  // When this table is partitioned across shards, export each removed row so
-  // the router can cross-feed the other shards' (replicated) models — their
-  // heaps never held these rows, but their models did.
-  const bool export_ops = PartitionUserIndexLocked(*table) != SIZE_MAX;
-  ResultSet rs;
   for (const auto& [rid, tuple] : victims) {
     RECDB_RETURN_NOT_OK(table->heap->Delete(rid));
     ops.push_back({/*remove=*/true, &tuple});
-    if (export_ops) {
-      rs.rating_ops.push_back({/*remove=*/true, tuple.values()});
-    }
   }
   RECDB_RETURN_NOT_OK(NotifyRatingOps(table->name, table->schema, ops));
+  ResultSet rs;
   rs.message = StringFormat("deleted %zu rows from %s", victims.size(),
                             table->name.c_str());
   return rs;
@@ -1374,19 +1213,12 @@ Result<ResultSet> RecDB::ExecuteUpdate(const UpdateStatement& stmt) {
   // ids; AddRating's overwrite semantics cover the common same-cell case.
   std::vector<RatingRowOp> ops;
   ops.reserve(victims.size() * 2);
-  // Partitioned tables: export the remove+insert pairs so the router can
-  // cross-feed every other shard's model with the same mutations.
-  const bool export_ops = PartitionUserIndexLocked(*table) != SIZE_MAX;
-  ResultSet rs;
   for (size_t k = 0; k < victims.size(); ++k) {
     ops.push_back({/*remove=*/true, &victims[k].second});
     ops.push_back({/*remove=*/false, &replacements[k]});
-    if (export_ops) {
-      rs.rating_ops.push_back({/*remove=*/true, victims[k].second.values()});
-      rs.rating_ops.push_back({/*remove=*/false, replacements[k].values()});
-    }
   }
   RECDB_RETURN_NOT_OK(NotifyRatingOps(table->name, schema, ops));
+  ResultSet rs;
   rs.message = StringFormat("updated %zu rows in %s", victims.size(),
                             table->name.c_str());
   return rs;
@@ -1473,16 +1305,7 @@ void RecDB::NotifyRecommendQueryLocked(const PlanNode& plan) {
   if (rec != nullptr && user_ids != nullptr) {
     auto cm = cache_managers_.find(ToLower(rec->name()));
     if (cm != cache_managers_.end()) {
-      for (int64_t uid : *user_ids) {
-        // Serving filter: cache demand is partitioned with the users — a
-        // shard only records demand for users it can actually serve.
-        if (options_.shard_count > 1 &&
-            ShardOfUser(uid, static_cast<uint32_t>(options_.shard_count)) !=
-                options_.shard_index) {
-          continue;
-        }
-        cm->second->RecordQuery(uid);
-      }
+      for (int64_t uid : *user_ids) cm->second->RecordQuery(uid);
     }
   }
   for (const auto& child : plan.children) NotifyRecommendQueryLocked(*child);
@@ -1513,12 +1336,8 @@ Status RecDB::BulkInsert(const std::string& table,
                          const std::vector<std::vector<Value>>& rows) {
   Status st = [&]() -> Status {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
-    RECDB_RETURN_NOT_OK(options_status_);
     RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
     const Schema& schema = info->schema;
-    // Same ownership filter as ExecuteInsert: owned rows reach the heap,
-    // every row reaches the recommenders (replicated model plane).
-    const size_t part_user_idx = PartitionUserIndexLocked(*info);
     std::vector<Tuple> applied;
     applied.reserve(rows.size());
     for (const auto& row : rows) {
@@ -1532,14 +1351,7 @@ Status RecDB::BulkInsert(const std::string& table,
         vals.push_back(std::move(v));
       }
       Tuple tuple(std::move(vals));
-      if (ShardOwnsRow(options_, tuple, part_user_idx)) {
-        RECDB_RETURN_NOT_OK(info->heap->Insert(tuple).status());
-        if (part_user_idx != SIZE_MAX) {
-          obs::Count(obs::Counter::kServingDmlRowsRouted);
-        }
-      } else {
-        obs::Count(obs::Counter::kServingDmlRowsFiltered);
-      }
+      RECDB_RETURN_NOT_OK(info->heap->Insert(tuple).status());
       applied.push_back(std::move(tuple));
     }
     std::vector<RatingRowOp> ops;
@@ -1580,7 +1392,7 @@ std::string ResultSet::ToString(size_t max_rows) const {
   if (stats.predict_batches > 0) {
     out += StringFormat(
         "scoring: %llu predictions in %llu batches\n",
-        static_cast<unsigned long long>(stats.predict_calls),
+        static_cast<unsigned long long>(stats.predictions),
         static_cast<unsigned long long>(stats.predict_batches));
   }
   if (stats.candidates_generated > 0 || stats.items_pruned > 0) {

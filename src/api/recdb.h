@@ -66,24 +66,7 @@ struct RecDBOptions {
   /// adjustable via `SET trace = on|off`. Off by default: the executor hot
   /// path then skips all timing and allocates nothing for tracing.
   bool trace = false;
-  /// Serving-layer user partition (DESIGN.md §14, docs/SCALING.md). With
-  /// shard_count > 1 this engine is one shard of a ShardedRecDB: RECOMMEND
-  /// executors score only the users `shard_index` owns (ShardOfUser), DML
-  /// on tables declared partitioned lands only owned rows in the heap/WAL,
-  /// and cache demand is recorded for owned users only. The model plane
-  /// stays replicated — every shard's RatingMatrix sees the full rating
-  /// stream — so per-shard scores are bit-identical to single-node.
-  /// Runtime-adjustable via `SET shard_count` / `SET shard_index`; both
-  /// reject out-of-range values (shard_count in [1, kMaxShardCount],
-  /// shard_index in [0, shard_count)) instead of clamping.
-  size_t shard_count = 1;
-  size_t shard_index = 0;
 };
-
-/// Range-check the shard/serving knobs. Invalid combinations surface as
-/// InvalidArgument here (and from Open / SET / the first Execute) rather
-/// than being silently clamped.
-Status ValidateShardOptions(const RecDBOptions& options);
 
 /// Result of one executed statement.
 struct ResultSet {
@@ -97,17 +80,6 @@ struct ResultSet {
   std::string trace;
   ExecStats stats;
   double elapsed_seconds = 0;
-  /// One ratings-row mutation observed by a DELETE/UPDATE on a partitioned
-  /// table (sharded engines only; empty otherwise). The ShardedRecDB router
-  /// cross-feeds these to the other shards' replicated models via
-  /// ApplyRatingFeed, since only the owning shard's heap scan could observe
-  /// the rows.
-  struct RatingFeedOp {
-    bool remove = false;
-    std::vector<Value> values;  // full row, in table-schema order
-  };
-  std::vector<RatingFeedOp> rating_ops;
-
   size_t NumRows() const { return rows.size(); }
   const Value& At(size_t row, size_t col) const { return rows[row].At(col); }
   /// Tabular rendering (up to `max_rows` rows).
@@ -218,29 +190,6 @@ class RecDB {
   Status BulkInsert(const std::string& table,
                     const std::vector<std::vector<Value>>& rows);
 
-  // --- sharded serving hooks (DESIGN.md §14; driven by ShardedRecDB) ---
-
-  /// Declare `table` user-partitioned on `user_col`: with shard_count > 1,
-  /// INSERT/BulkInsert land only rows owned by this shard's index in the
-  /// heap (and thus the WAL), while every row still feeds the replicated
-  /// models. The router broadcasts this to all shards before loading.
-  Status DeclarePartitionedTable(const std::string& table,
-                                 const std::string& user_col);
-
-  /// Apply another shard's DELETE/UPDATE rating mutations to this shard's
-  /// replicated models (matrix delta + cache update pressure + maintenance
-  /// check). The local heap is untouched — the owning shard already holds
-  /// the rows.
-  Status ApplyRatingFeed(const std::string& table,
-                         const std::vector<ResultSet::RatingFeedOp>& ops);
-
-  /// CREATE RECOMMENDER over a pre-built (frozen) ratings matrix instead of
-  /// scanning this shard's heap. The router's gather path uses this so every
-  /// shard trains from the identical canonically-ordered matrix even though
-  /// each heap holds only its own partition.
-  Result<Recommender*> CreateRecommenderWithMatrix(
-      RecommenderConfig config, std::shared_ptr<RatingMatrix> matrix);
-
  private:
   friend class Session;
 
@@ -278,10 +227,6 @@ class RecDB {
   /// their cache managers' item histograms.
   Status NotifyRatingOps(const std::string& table, const Schema& schema,
                          const std::vector<RatingRowOp>& ops);
-
-  /// Column index of `table`'s declared partition user column, or SIZE_MAX
-  /// when the serving filter is inactive (single shard / undeclared table).
-  size_t PartitionUserIndexLocked(const TableInfo& table) const;
 
   /// Record query demand (user histogram) for a RECOMMEND query. Takes
   /// demand_mu_: concurrent shared-lock readers funnel through here.
@@ -338,11 +283,6 @@ class RecDB {
   Status CommitWal();
 
   RecDBOptions options_;
-  /// ValidateShardOptions result for directly-constructed engines (the
-  /// constructor cannot return a Status); Execute/BulkInsert surface it.
-  Status options_status_ = Status::OK();
-  /// Tables declared user-partitioned: lower(table) -> user column name.
-  std::unordered_map<std::string, std::string> partitioned_tables_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<LogManager> log_;
   std::vector<page_id_t> meta_pages_;

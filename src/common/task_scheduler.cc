@@ -123,8 +123,8 @@ TaskRunStats TaskScheduler::ParallelFor(
   if (morsel == 0) morsel = 1;
   // Nested (same thread, from inside a morsel) or contended (another loop
   // holds the pool) ParallelFor runs inline serially instead of queueing:
-  // the sharded scatter path issues per-shard legs through the pool, and a
-  // leg's own scoring loops land here. Serial inline execution is
+  // concurrent sessions scoring at parallelism > 1 land here, as does a
+  // loop whose morsel body parallelizes again. Serial inline execution is
   // bit-identical by the determinism contract, and never deadlocks against
   // a lock held by whoever owns the pool right now.
   std::unique_lock<std::mutex> submit(submit_mu_, std::defer_lock);

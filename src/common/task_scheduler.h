@@ -13,10 +13,10 @@
 // The engine uses one process-wide scheduler (`TaskScheduler::Global()`),
 // sized with `SET parallelism = N` or `RecDBOptions::parallelism`. One
 // parallel loop owns the pool at a time; a ParallelFor issued while the
-// pool is busy — from inside a morsel (the sharded router's scatter legs
-// score through here) or from a concurrent root caller — degrades to a
-// serial inline run of the whole range, which the determinism contract
-// keeps bit-identical to the pooled execution.
+// pool is busy — from inside a morsel, or from a concurrent root caller
+// such as a second session's scoring loop — degrades to a serial inline
+// run of the whole range, which the determinism contract keeps
+// bit-identical to the pooled execution.
 #pragma once
 
 #include <atomic>

@@ -1,12 +1,10 @@
 #include "datagen/datagen.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <unordered_set>
 
 #include "common/rng.h"
-#include "common/shard.h"
 #include "common/string_util.h"
 #include "spatial/geometry.h"
 
@@ -40,16 +38,6 @@ DatasetSpec DatasetSpec::Yelp() {
   s.num_ratings = 126747;
   s.seed = 303;
   s.with_locations = true;
-  return s;
-}
-
-DatasetSpec DatasetSpec::ServingScale() {
-  DatasetSpec s;
-  s.prefix = "serve";
-  s.num_users = 1000000;
-  s.num_items = 20000;
-  s.num_ratings = 10000000;
-  s.seed = 404;
   return s;
 }
 
@@ -215,59 +203,6 @@ Result<GeneratedDataset> LoadDataset(RecDB* db, const DatasetSpec& spec) {
   }
   out.num_ratings = loaded;
   return out;
-}
-
-Status StreamRatings(
-    const DatasetSpec& spec, size_t chunk_rows,
-    const std::function<Status(const std::vector<RatingRow>&)>& sink) {
-  if (spec.num_users <= 0 || spec.num_items <= 0 || spec.num_ratings <= 0) {
-    return Status::InvalidArgument("dataset spec cardinalities must be > 0");
-  }
-  if (chunk_rows == 0) chunk_rows = 4096;
-
-  // Item factors are the only materialized table — items are the small axis
-  // of a serving-scale spec. Each item's factors hash from (seed, item) so
-  // they are independent of user count and generation order.
-  std::vector<std::array<double, 2>> item_f(spec.num_items);
-  for (int64_t i = 0; i < spec.num_items; ++i) {
-    Rng ir(spec.seed ^ MixUserId(0x1157ull * 0x10001ull + i));
-    item_f[i] = {ir.Gaussian(0, 1), ir.Gaussian(0, 1)};
-  }
-  ZipfSampler item_sampler(spec.num_items, spec.item_skew);
-
-  const int64_t per_user = std::max<int64_t>(
-      1, spec.num_ratings / std::max<int64_t>(1, spec.num_users));
-  std::vector<RatingRow> chunk;
-  chunk.reserve(chunk_rows);
-  std::unordered_set<int64_t> seen;
-  int64_t emitted = 0;
-  for (int64_t u = 0; u < spec.num_users && emitted < spec.num_ratings; ++u) {
-    // Per-user Rng: user u's stream is identical regardless of how many
-    // users precede it, so generation is restartable and shardable.
-    Rng rng(spec.seed ^ MixUserId(u + 1));
-    const std::vector<double> uf = {rng.Gaussian(0, 1), rng.Gaussian(0, 1)};
-    seen.clear();
-    // Draw extra attempts to absorb within-user duplicate items; per-user
-    // rating counts stay deterministic.
-    const int64_t attempts = per_user * 3;
-    int64_t taken = 0;
-    for (int64_t a = 0;
-         a < attempts && taken < per_user && emitted < spec.num_ratings; ++a) {
-      const int64_t i = item_sampler.Sample(rng);
-      if (!seen.insert(i).second) continue;
-      const std::vector<double> itf = {item_f[i][0], item_f[i][1]};
-      const double rating = PlantedRating(uf, itf, rng);
-      chunk.push_back({u + 1, i + 1, rating});
-      ++taken;
-      ++emitted;
-      if (chunk.size() >= chunk_rows) {
-        RECDB_RETURN_NOT_OK(sink(chunk));
-        chunk.clear();
-      }
-    }
-  }
-  if (!chunk.empty()) RECDB_RETURN_NOT_OK(sink(chunk));
-  return Status::OK();
 }
 
 }  // namespace recdb::datagen

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,11 +38,6 @@ struct DatasetSpec {
   static DatasetSpec LdosComoda();
   static DatasetSpec Yelp();
 
-  /// Serving-scale preset for the sharded load harness: 1M users, 20K
-  /// items, ~10 ratings/user. Only usable with StreamRatings — LoadDataset
-  /// would materialize per-user factor arrays and giant INSERT batches.
-  static DatasetSpec ServingScale();
-
   /// Proportionally shrunken variant (for fast unit tests): user/item
   /// counts scaled by `factor`, ratings by `factor`^2 (preserving matrix
   /// density); minimums 10/10/30.
@@ -61,24 +55,5 @@ struct GeneratedDataset {
 /// Create the tables and load the synthetic data into `db`. Deterministic
 /// for a given spec (including seed).
 Result<GeneratedDataset> LoadDataset(RecDB* db, const DatasetSpec& spec);
-
-/// One generated rating (ids are 1-based, matching LoadDataset's tables).
-struct RatingRow {
-  int64_t user = 0;
-  int64_t item = 0;
-  double rating = 0;
-};
-
-/// Streamed rating generation for serving-scale specs (millions of users):
-/// emits `spec.num_ratings` planted ratings in chunks of up to `chunk_rows`
-/// through `sink`, user-major (all of user u's ratings before user u+1's),
-/// without materializing per-user state — user latent factors are derived
-/// by hashing (spec.seed, user id), item factors are a single
-/// O(num_items) precomputed table, and each user's Rng is seeded
-/// independently so generation is deterministic and restartable per user.
-/// Returns the sink's first error, if any.
-Status StreamRatings(
-    const DatasetSpec& spec, size_t chunk_rows,
-    const std::function<Status(const std::vector<RatingRow>&)>& sink);
 
 }  // namespace recdb::datagen

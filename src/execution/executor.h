@@ -11,7 +11,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "common/shard.h"
 #include "common/status.h"
 #include "obs/tracer.h"
 #include "planner/plan_node.h"
@@ -23,7 +22,6 @@ namespace recdb {
 struct ExecStats {
   uint64_t tuples_scanned = 0;      // base-table tuples read
   uint64_t predictions = 0;         // candidate scores computed by the model
-  uint64_t predict_calls = 0;       // candidates scored via PredictBatch
   uint64_t predict_batches = 0;     // PredictBatch invocations (hot paths)
   uint64_t index_hits = 0;          // users served from RecScoreIndex
   uint64_t index_misses = 0;        // users that fell back to the model
@@ -51,20 +49,6 @@ struct ExecContext {
   /// call and accumulates per-node inclusive durations into the tracer.
   /// Null (the default) keeps the hot path untimed and allocation-free.
   obs::Tracer* tracer = nullptr;
-  /// Serving-layer user partition (DESIGN.md §14), seeded from
-  /// RecDBOptions::shard_count / shard_index. When shard_count > 1 the
-  /// RECOMMEND executors restrict their candidate-user lists to the users
-  /// this engine shard owns; the emission order of the surviving users is
-  /// unchanged, so each shard's stream is an order-preserving subsequence
-  /// of the single-node stream and the router's merge can reassemble the
-  /// exact single-node output.
-  uint32_t shard_count = 1;
-  uint32_t shard_index = 0;
-
-  bool ShardFilterActive() const { return shard_count > 1; }
-  bool OwnsUser(int64_t user_id) const {
-    return shard_count <= 1 || ShardOfUser(user_id, shard_count) == shard_index;
-  }
 };
 
 class Executor {

@@ -381,7 +381,6 @@ void PruneEngine::FlushStats(ExecStats* stats) {
     stats->blocks_skipped += blocks_skipped;
     stats->items_pruned += items_pruned;
     stats->predictions += predictions;
-    stats->predict_calls += predictions;
     stats->predict_batches += batches;
   }
   obs::Count(obs::Counter::kPruneCandidatesGenerated, candidates_generated);
@@ -400,12 +399,6 @@ Status RecommendExecutor::Init() {
   }
   const RatingMatrix& snapshot = plan_.rec->model()->ratings();
   users_ = ResolveUsers(snapshot, plan_.user_ids);
-  // Serving filter: a sharded engine only scores the users it owns. The
-  // erase preserves relative order, so the shard's emission stays a
-  // subsequence of the single-node stream (DESIGN.md §14).
-  if (ctx_->ShardFilterActive()) {
-    std::erase_if(users_, [&](int64_t u) { return !ctx_->OwnsUser(u); });
-  }
   items_ = ResolveItems(snapshot, plan_.item_ids);
   user_pos_ = 0;
   item_pos_ = 0;
@@ -490,7 +483,6 @@ Status RecommendExecutor::ScorePruned() {
   }
   const uint64_t predicted = preds.load(std::memory_order_relaxed);
   ctx_->stats.predictions += predicted;
-  ctx_->stats.predict_calls += predicted;
   ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
   ctx_->stats.candidates_generated +=
       cand.load(std::memory_order_relaxed);
@@ -560,7 +552,6 @@ Status RecommendExecutor::ScoreAllParallel() {
   }
   const uint64_t predicted = predictions.load(std::memory_order_relaxed);
   ctx_->stats.predictions += predicted;
-  ctx_->stats.predict_calls += predicted;
   ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
   ctx_->stats.tasks_spawned += run.tasks_spawned;
   ctx_->stats.worker_time_ms += run.worker_time_ms;
@@ -581,7 +572,6 @@ Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
       ScoreUserRange(model, snapshot, users_[user_pos_], items_, 0,
                      items_.size(), &row_);
       ctx_->stats.predictions += row_.predicted;
-      ctx_->stats.predict_calls += row_.predicted;
       ctx_->stats.predict_batches += row_.batches;
       row_ready_ = true;
       item_pos_ = 0;
@@ -612,11 +602,7 @@ Status JoinRecommendExecutor::Init() {
   valid_users_.clear();
   valid_users_.reserve(plan_.user_ids.size());
   for (int64_t id : plan_.user_ids) {
-    if (!snapshot.UserIndex(id).has_value()) continue;
-    // Serving filter: on a sharded engine, non-owned users produce no join
-    // output here — their rows come from the owning shard (DESIGN.md §14).
-    if (ctx_->ShardFilterActive() && !ctx_->OwnsUser(id)) continue;
-    valid_users_.push_back(id);
+    if (snapshot.UserIndex(id).has_value()) valid_users_.push_back(id);
   }
   // Candidate zero-fill (CF families): precompute each user's candidate
   // bitmap once; probe items outside it provably score exactly 0.0.
@@ -728,7 +714,6 @@ Status JoinRecommendExecutor::FillWindow() {
       window_scores_[u * w + cand_slot[k]] = pred[k];
     }
     ctx_->stats.predictions += cand.size();
-    ctx_->stats.predict_calls += cand.size();
     ++ctx_->stats.predict_batches;
   }
   if (zero_filled > 0) {
@@ -798,11 +783,6 @@ Status IndexRecommendExecutor::Init() {
     for (int64_t id : plan_.user_ids) {
       if (snapshot.UserIndex(id).has_value()) users_.push_back(id);
     }
-  }
-  // Serving filter (DESIGN.md §14): index-served users partition exactly
-  // like model-scored ones — only the owner materializes and serves them.
-  if (ctx_->ShardFilterActive()) {
-    std::erase_if(users_, [&](int64_t u) { return !ctx_->OwnsUser(u); });
   }
   // Hash the pushed-down item ids once (the per-candidate std::find was
   // O(|items|^2) across a user's scan) and keep a deduplicated list so a
@@ -894,7 +874,6 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
     std::vector<double> pred(cand.size(), 0.0);
     model->PredictBatch(user_id, cand, pred);
     ctx_->stats.predictions += cand.size();
-    ctx_->stats.predict_calls += cand.size();
     ++ctx_->stats.predict_batches;
     for (size_t k = 0; k < cand.size(); ++k) {
       if (pred[k] >= plan_.min_score) current_.emplace_back(cand[k], pred[k]);

@@ -152,27 +152,7 @@
   X(kPrunePlanDeclined, "prune.plan_declined", "plans",                       \
     "cost-pass decisions that kept the exact path despite eligibility")       \
   X(kPruneIndexBuilds, "prune.index_builds", "builds",                        \
-    "CandidateIndex lowerings (initial build and re-freeze rebuilds)")        \
-  X(kServingQueries, "serving.queries", "statements",                         \
-    "statements executed through the ShardedRecDB router")                    \
-  X(kServingScatterQueries, "serving.scatter_queries", "queries",             \
-    "SELECTs fanned out to more than one engine shard")                       \
-  X(kServingSingleShardQueries, "serving.single_shard_queries", "queries",    \
-    "SELECTs routed to exactly one shard (owner-targeted or shard 0)")        \
-  X(kServingFanoutLegs, "serving.fanout_legs", "legs",                        \
-    "per-shard scatter legs executed across all router queries")              \
-  X(kServingRowsMerged, "serving.rows_merged", "rows",                        \
-    "per-shard result rows consumed by the scatter-gather merge")             \
-  X(kServingRowsEmitted, "serving.rows_emitted", "rows",                      \
-    "merged rows returned to router clients")                                 \
-  X(kServingDmlBroadcasts, "serving.dml_broadcasts", "statements",            \
-    "DML/DDL statements broadcast to every shard by the router")              \
-  X(kServingDmlRowsRouted, "serving.dml_rows_routed", "rows",                 \
-    "partitioned-table rows landed in their owning shard's heap")             \
-  X(kServingDmlRowsFiltered, "serving.dml_rows_filtered", "rows",             \
-    "broadcast rows skipped by a shard's ownership filter (model-feed only)") \
-  X(kServingFeedOps, "serving.feed_ops", "ops",                               \
-    "cross-shard rating ops applied through ApplyRatingFeed")
+    "CandidateIndex lowerings (initial build and re-freeze rebuilds)")
 
 #define RECDB_GAUGE_METRICS(X)                                                \
   X(kBufferPoolResidentPages, "bufferpool.resident_pages", "pages",           \
@@ -190,13 +170,7 @@
   X(kSessionsActive, "session.active", "sessions",                            \
     "Session handles currently alive")                                        \
   X(kIngestDeltaPending, "ingest.delta_pending", "ops",                       \
-    "delta ops accumulated across recommenders, not yet re-frozen")           \
-  X(kServingShards, "serving.shards", "shards",                               \
-    "engine shards owned by the ShardedRecDB router")                         \
-  X(kServingMergeDepth, "serving.merge_depth", "rows",                        \
-    "deepest per-shard stream consumed by the most recent merge")             \
-  X(kServingShardSkewPct, "serving.shard_skew_pct", "percent",                \
-    "(max-mean)/mean routed-row imbalance across shards, in percent")
+    "delta ops accumulated across recommenders, not yet re-frozen")
 
 #define RECDB_HISTOGRAM_METRICS(X)                                            \
   X(kQueryLatencyUs, "query.latency_us", "us",                                \
@@ -218,10 +192,4 @@
   X(kPruneIndexBuildUs, "prune.index_build_us", "us",                         \
     "CandidateIndex postings lowering wall-clock per build")                  \
   X(kPruneGenUs, "prune.gen_us", "us",                                        \
-    "candidate generation wall-clock per pruned Top-N user")                  \
-  X(kServingQueryUs, "serving.query_us", "us",                                \
-    "end-to-end router statement latency (route + scatter + merge)")          \
-  X(kServingScatterUs, "serving.scatter_us", "us",                            \
-    "scatter-phase wall-clock per fanned-out SELECT (slowest leg)")           \
-  X(kServingMergeUs, "serving.merge_us", "us",                                \
-    "merge-phase wall-clock per fanned-out SELECT")
+    "candidate generation wall-clock per pruned Top-N user")

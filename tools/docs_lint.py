@@ -11,10 +11,6 @@ Checks, over every tracked *.md file in the repo:
          `<known-subsystem>.<name>`) is declared in the header.
      The header is the single source of truth; prefixes are derived from
      it, so new subsystems need no lint changes.
-  3. docs/SCALING.md and the `serving.*` metric family must agree the same
-     way: the operator guide documents every serving metric, and every
-     backticked serving.* token in it is a declared metric — the skew/
-     fan-out diagnosis recipes there must never drift from the registry.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -26,7 +22,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 METRIC_HEADER = REPO / "src" / "obs" / "metric_names.h"
 OPERATIONS = REPO / "docs" / "OPERATIONS.md"
-SCALING = REPO / "docs" / "SCALING.md"
 
 # Directories that hold generated or third-party content.
 SKIP_DIRS = {"build", "build-native", ".git"}
@@ -97,39 +92,10 @@ def check_metric_names(errors):
             )
 
 
-def check_serving_docs(errors):
-    """docs/SCALING.md <-> serving.* metric drift, both directions."""
-    if not METRIC_HEADER.exists():
-        return  # already reported by check_metric_names
-    if not SCALING.exists():
-        errors.append(f"missing {SCALING.relative_to(REPO)}")
-        return
-    declared = set(METRIC_DECL.findall(METRIC_HEADER.read_text("utf-8")))
-    serving = {name for name in declared if name.startswith("serving.")}
-    if not serving:
-        errors.append("no serving.* metrics parsed from metric_names.h")
-        return
-    scaling_text = SCALING.read_text("utf-8")
-
-    for name in sorted(serving):
-        if f"`{name}`" not in scaling_text:
-            errors.append(
-                f"docs/SCALING.md: serving metric `{name}` (declared in "
-                "src/obs/metric_names.h) is undocumented"
-            )
-    for token in set(BACKTICKED.findall(scaling_text)):
-        if token.startswith("serving.") and token not in declared:
-            errors.append(
-                f"docs/SCALING.md: `{token}` does not exist in "
-                "src/obs/metric_names.h"
-            )
-
-
 def main():
     errors = []
     check_links(errors)
     check_metric_names(errors)
-    check_serving_docs(errors)
     for e in errors:
         print(e)
     if errors:
