@@ -415,8 +415,8 @@ Status RecommendExecutor::Init() {
     cindex_ = plan_.rec->candidate_index();
     prune_active_ = cindex_ != nullptr && cindex_->prunable();
   }
-  if (prune_active_) {
-    RECDB_RETURN_NOT_OK(ScorePruned());
+  if (plan_.prune_limit > 0) {
+    RECDB_RETURN_NOT_OK(ScoreUserTopK());
     buffered_ = true;
     return Status::OK();
   }
@@ -428,24 +428,45 @@ Status RecommendExecutor::Init() {
   return Status::OK();
 }
 
-Status RecommendExecutor::ScorePruned() {
+Status RecommendExecutor::ScoreUserTopK() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
-  const CandidateIndex& index = *cindex_;
   const size_t k = plan_.prune_limit;
-  obs::Count(obs::Counter::kPruneTopkQueries);
+  if (prune_active_) obs::Count(obs::Counter::kPruneTopkQueries);
   Stopwatch watch;
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<std::vector<Tuple>> per_user(users_.size());
   std::atomic<uint64_t> cand{0}, skipped{0}, pruned{0};
   std::atomic<uint64_t> preds{0}, batches{0};
   auto score_range = [&](size_t begin, size_t end) {
-    PruneEngine engine(model, snapshot, index, /*rank_by_id=*/false);
+    std::optional<PruneEngine> engine;
+    if (prune_active_) {
+      engine.emplace(model, snapshot, *cindex_, /*rank_by_id=*/false);
+    }
+    UserRowScores row;
+    uint64_t local_preds = 0, local_batches = 0;
     for (size_t ui = begin; ui < end; ++ui) {
-      auto entries = engine.UserTopK(users_[ui], k, kNegInf);
-      // Within a user, emit survivors in item-position order — the exact
-      // path's emission order restricted to the surviving subset, so the
-      // parent TopN's arrival tie-break sees an order-preserving
+      std::vector<TopKPruner::Entry> entries;
+      if (engine) {
+        entries = engine->UserTopK(users_[ui], k, kNegInf);
+      } else {
+        // Exact path: score the whole row, keep the k best of what the
+        // unbounded path would emit, under the same (score desc, item
+        // position asc) order the parent TopN applies within one user.
+        ScoreUserRange(model, snapshot, users_[ui], items_, 0, items_.size(),
+                       &row);
+        local_preds += row.predicted;
+        local_batches += row.batches;
+        TopKPruner pruner(k);
+        for (size_t p = 0; p < items_.size(); ++p) {
+          if (row.rated[p] && !plan_.include_rated) continue;
+          pruner.Offer(row.score[p], static_cast<int64_t>(p), items_[p]);
+        }
+        entries = pruner.DrainBestFirst();
+      }
+      // Within a user, emit survivors in item-position order — the
+      // unbounded emission order restricted to the surviving subset, so
+      // the parent TopN's arrival tie-break sees an order-preserving
       // subsequence.
       std::sort(entries.begin(), entries.end(),
                 [](const TopKPruner::Entry& a, const TopKPruner::Entry& b) {
@@ -459,11 +480,15 @@ Status RecommendExecutor::ScorePruned() {
                                    users_[ui], e.item_id, e.score));
       }
     }
-    cand.fetch_add(engine.candidates_generated, std::memory_order_relaxed);
-    skipped.fetch_add(engine.blocks_skipped, std::memory_order_relaxed);
-    pruned.fetch_add(engine.items_pruned, std::memory_order_relaxed);
-    preds.fetch_add(engine.predictions, std::memory_order_relaxed);
-    batches.fetch_add(engine.batches, std::memory_order_relaxed);
+    if (engine) {
+      cand.fetch_add(engine->candidates_generated, std::memory_order_relaxed);
+      skipped.fetch_add(engine->blocks_skipped, std::memory_order_relaxed);
+      pruned.fetch_add(engine->items_pruned, std::memory_order_relaxed);
+      local_preds += engine->predictions;
+      local_batches += engine->batches;
+    }
+    preds.fetch_add(local_preds, std::memory_order_relaxed);
+    batches.fetch_add(local_batches, std::memory_order_relaxed);
   };
   TaskScheduler& sched = TaskScheduler::Global();
   if (sched.num_threads() > 1 && users_.size() > 1) {
@@ -481,9 +506,9 @@ Status RecommendExecutor::ScorePruned() {
   for (auto& s : per_user) {
     for (auto& t : s) buffer_.push_back(std::move(t));
   }
-  const uint64_t predicted = preds.load(std::memory_order_relaxed);
-  ctx_->stats.predictions += predicted;
+  ctx_->stats.predictions += preds.load(std::memory_order_relaxed);
   ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
+  if (!prune_active_) return Status::OK();
   ctx_->stats.candidates_generated +=
       cand.load(std::memory_order_relaxed);
   ctx_->stats.blocks_skipped += skipped.load(std::memory_order_relaxed);

@@ -129,11 +129,14 @@ class RecommendExecutor : public Executor {
   /// in range order — bit-identical to the serial emission order under any
   /// thread count.
   Status ScoreAllParallel();
-  /// Pruned Top-K mode: per-user top-prune_limit via PruneEngine (morsel-
-  /// parallel over users), each user's survivors emitted in item-position
-  /// order — the exact emission order restricted to the surviving subset,
-  /// so the parent TopN's result is bit-identical.
-  Status ScorePruned();
+  /// Per-user bound under a parent TopN (prune_limit > 0): each user's
+  /// top-prune_limit by (score desc, item position asc), morsel-parallel
+  /// over users. Pruned mode enumerates candidates via PruneEngine; the
+  /// exact path scores the whole row and keeps the k best in a TopKPruner.
+  /// Survivors are emitted in item-position order — the unbounded emission
+  /// order restricted to the surviving subset, so the parent TopN's result
+  /// is bit-identical.
+  Status ScoreUserTopK();
 
   const RecommendPlan& plan_;
   ExecContext* ctx_;

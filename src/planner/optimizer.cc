@@ -717,9 +717,14 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   }
   auto* rec = static_cast<RecommendPlan*>(child);
   if (rec->prune || key.column_idx != rec->rating_col_idx) return node;
+  // The parent keeps the n best rows by score with arrival order breaking
+  // ties, and arrival order within one user is item position: no user can
+  // place more than n rows in the answer. Bound the exact path per user
+  // whatever the cost pass below decides.
+  rec->prune_limit = topn->n;
   if (rec->include_rated || rec->item_ids.has_value()) return node;
-  // Only commit once ANALYZE has run on the ratings table: without grounded
-  // statistics the plan must match the rule-only optimizer exactly.
+  // Only choose pruned mode once ANALYZE has run on the ratings table:
+  // without grounded statistics the mode must match the rule-only optimizer.
   if (rec->table == nullptr || !rec->table->stats.has_value()) return node;
   auto index = rec->rec->candidate_index();
   if (index == nullptr || !index->prunable()) return node;
@@ -733,7 +738,6 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   double cost_prune = PrunedTopNCost(index->stats(), users, p);
   if (cost_prune < cost_exact) {
     rec->prune = true;
-    rec->prune_limit = topn->n;
     rec->est_rows = rec->est_cost = -1;
     topn->est_rows = topn->est_cost = -1;
     obs::Count(obs::Counter::kPrunePlanChosen);

@@ -79,6 +79,8 @@ std::string RecommendPlan::Describe() const {
   if (prune) {
     out += StringFormat(" mode=pruned(k=%zu) candidates=inverted",
                         prune_limit);
+  } else if (prune_limit > 0) {
+    out += StringFormat(" topk=%zu", prune_limit);
   }
   return out;
 }

@@ -112,13 +112,16 @@ struct RecommendPlan : PlanNode {
   // FilterRecommend pushdowns (empty optional = unconstrained).
   std::optional<std::vector<int64_t>> user_ids;
   std::optional<std::vector<int64_t>> item_ids;
-  /// Sublinear Top-N mode (set by the optimizer's cost pass when a TopN
-  /// parent makes per-user pruning profitable): emit only each user's
-  /// top-`prune_limit` unseen items, enumerated through the CandidateIndex
-  /// postings and bound blocks instead of the full catalog. Result set is
-  /// bit-identical to the exact path under the parent TopN.
-  bool prune = false;
+  /// Per-user bound (set by the optimizer under a TopN parent ordered by
+  /// the score): emit only each user's top-`prune_limit` rows by (score
+  /// desc, item position asc). 0 = unbounded. The parent's answer is
+  /// bit-identical either way.
   size_t prune_limit = 0;
+  /// Sublinear Top-N mode (set by the optimizer's cost pass when per-user
+  /// pruning is profitable): enumerate each user's top-`prune_limit`
+  /// unseen items through the CandidateIndex postings and bound blocks
+  /// instead of scoring the full catalog.
+  bool prune = false;
   std::string Describe() const override;
 };
 

@@ -21,21 +21,11 @@ size_t NeighborhoodEntries(const std::vector<std::vector<Neighbor>>& nb) {
   return total;
 }
 
-/// Idx-sorted copy of each row, so Similarity() can binary search instead
-/// of scanning a sim-sorted list end to end.
-std::vector<std::vector<Neighbor>> SortRowsByIdx(
-    const std::vector<std::vector<Neighbor>>& nb) {
-  std::vector<std::vector<Neighbor>> out = nb;
-  for (auto& row : out) {
-    std::sort(row.begin(), row.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.idx < b.idx; });
-  }
-  return out;
-}
-
-double SimilarityLookup(const std::vector<std::vector<Neighbor>>& by_idx,
+/// Binary search of an idx-ordered neighborhood row.
+double SimilarityLookup(const std::vector<std::vector<Neighbor>>& nb,
                         int32_t a, int32_t b) {
-  const auto& row = by_idx[a];
+  if (static_cast<size_t>(a) >= nb.size()) return 0;
+  const auto& row = nb[a];
   auto it = std::lower_bound(
       row.begin(), row.end(), b,
       [](const Neighbor& n, int32_t i) { return n.idx < i; });
@@ -74,6 +64,31 @@ struct DenseScratch {
 
 DenseScratch& TlsScratch() {
   thread_local DenseScratch scratch;
+  return scratch;
+}
+
+/// ItemCF kernel scratch, reused across PredictBatch calls on one thread.
+/// `val`/`mask` stay all-zero between calls (each call clears the slots it
+/// set); `num`/`den` are zeroed by the scatter loop that uses them.
+struct ItemCFScratch {
+  std::vector<int32_t> cand;  // resolved candidate idx, -1 = scores 0
+  std::vector<double> val;    // gather: r_uj at rated j, else 0
+  std::vector<double> mask;   // gather: 1 at rated j, else 0
+  std::vector<double> num;    // scatter: Σ s·r_uj per item
+  std::vector<double> den;    // scatter: Σ |s| per item
+
+  void Reserve(size_t n) {
+    if (val.size() < n) {
+      val.resize(n, 0.0);
+      mask.resize(n, 0.0);
+      num.resize(n, 0.0);
+      den.resize(n, 0.0);
+    }
+  }
+};
+
+ItemCFScratch& TlsItemCFScratch() {
+  thread_local ItemCFScratch scratch;
   return scratch;
 }
 
@@ -137,24 +152,14 @@ std::vector<int32_t> TouchedUserRows(const RatingMatrix& m,
   return rows;
 }
 
-/// Install recomputed rows into the sim-sorted table and its idx-sorted
-/// shadow, growing both for entities interned since the model was built.
+/// Install recomputed rows (already idx-ordered) into the table, growing
+/// it for entities interned since the model was built.
 void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
-                         std::vector<std::vector<Neighbor>>* by_idx,
                          ModelUpdate&& update) {
-  if (update.num_rows > nb->size()) {
-    nb->resize(update.num_rows);
-    by_idx->resize(update.num_rows);
-  }
+  if (update.num_rows > nb->size()) nb->resize(update.num_rows);
   size_t installed = 0;
   for (auto& [idx, row] : update.rows) {
     if (idx < 0 || static_cast<size_t>(idx) >= nb->size()) continue;
-    std::vector<Neighbor> sorted = row;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.idx < b.idx;
-              });
-    (*by_idx)[idx] = std::move(sorted);
     (*nb)[idx] = std::move(row);
     ++installed;
   }
@@ -169,8 +174,7 @@ ItemCFModel::ItemCFModel(std::shared_ptr<const RatingMatrix> ratings,
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
-      neighborhoods_(std::move(neighborhoods)),
-      by_idx_(SortRowsByIdx(neighborhoods_)) {}
+      neighbors_(std::move(neighborhoods)) {}
 
 std::unique_ptr<ItemCFModel> ItemCFModel::Build(
     std::shared_ptr<RatingMatrix> ratings, bool centered,
@@ -191,46 +195,88 @@ void ItemCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  // Resolve the user once: scatter their rated items into a dense
-  // accumulator, then gather per candidate. Addition order per candidate is
-  // the candidate's neighborhood order — the same order the per-pair scalar
-  // path always used, so results are bit-identical at any batch size.
-  //
-  // When the matrix has been updated since the model froze it, the CSR
-  // snapshot is stale; fall back to the mutable row — same entries in the
-  // same idx order, so the accumulation (and the result) is unchanged.
-  DenseScratch& scratch = TlsScratch();
-  scratch.Reset(ratings_->NumItems());
-  size_t num_rated = 0;
-  if (ratings_->frozen()) {
-    const CsrRow rated = ratings_->UserCsrRow(*u);
-    for (size_t k = 0; k < rated.n; ++k) {
-      scratch.Set(rated.idx[k], rated.rating[k]);
-    }
-    num_rated = rated.n;
-  } else {
-    const auto& rated = ratings_->UserVector(*u);
-    for (const auto& e : rated) scratch.Set(e.idx, e.rating);
-    num_rated = rated.size();
-  }
+  // The user's rated row, idx-ascending. Build froze the matrix, and the
+  // merge view includes every rating added or removed since.
+  const CsrRow rated = ratings_->UserCsrRow(*u);
+
+  // Resolve the candidates once. An unknown candidate, an item interned
+  // after the table was built (no row yet) or a user with nothing rated
+  // scores 0 (Algorithm 1, line 14).
+  ItemCFScratch& scratch = TlsItemCFScratch();
+  const size_t table = neighbors_.size();
+  scratch.cand.resize(items.size());
+  size_t gather_cost = 0;
   for (size_t c = 0; c < items.size(); ++c) {
     auto i = ratings_->ItemIndex(items[c]);
-    if (!i || num_rated == 0 ||
-        static_cast<size_t>(*i) >= neighborhoods_.size()) {
-      // Unknown candidate, nothing rated, or an item interned after this
-      // model was built (no neighborhood yet).
+    const bool scored =
+        i && rated.n > 0 && static_cast<size_t>(*i) < table;
+    scratch.cand[c] = scored ? *i : -1;
+    if (scored) gather_cost += neighbors_[*i].size();
+  }
+  const size_t n = ratings_->NumItems();
+  scratch.Reserve(n);
+
+  // Both loops add each candidate's terms s·r_uj in ascending j, so they
+  // give the same bits whenever the table is symmetric (top_k == 0; see
+  // similarity.h). Scatter costs a clear of the catalog plus the user's
+  // rated rows; gather costs the candidates' rows. DESIGN.md §10.
+  size_t scatter_cost = n;
+  if (opts_.top_k == 0) {
+    for (size_t k = 0; k < rated.n && scatter_cost < gather_cost; ++k) {
+      const int32_t j = rated.idx[k];
+      if (static_cast<size_t>(j) < table) scatter_cost += neighbors_[j].size();
+    }
+  }
+  if (opts_.top_k == 0 && scatter_cost < gather_cost) {
+    // Lucene-CF scatter: walk R(u) in ascending j, pushing s·r_uj and |s|
+    // into every neighbor i of j.
+    double* num = scratch.num.data();
+    double* den = scratch.den.data();
+    std::fill(num, num + n, 0.0);
+    std::fill(den, den + n, 0.0);
+    for (size_t k = 0; k < rated.n; ++k) {
+      const int32_t j = rated.idx[k];
+      if (static_cast<size_t>(j) >= table) continue;
+      const double r = rated.rating[k];
+      for (const Neighbor& nb : neighbors_[j]) {
+        const double s = static_cast<double>(nb.sim);
+        num[nb.idx] += s * r;
+        den[nb.idx] += std::fabs(s);
+      }
+    }
+    for (size_t c = 0; c < items.size(); ++c) {
+      const int32_t i = scratch.cand[c];
+      out[c] = (i < 0 || den[i] == 0) ? 0 : num[i] / den[i];
+    }
+    return;
+  }
+
+  // Gather, branch-free over N(i) ∩ R(u) (Algorithm 1, line 10): the
+  // user's ratings sit in a dense value array beside a 0/1 mask, so an
+  // unrated neighbor adds an exact ±0.0 to num and +0.0 to den.
+  double* val = scratch.val.data();
+  double* mask = scratch.mask.data();
+  for (size_t k = 0; k < rated.n; ++k) {
+    val[rated.idx[k]] = rated.rating[k];
+    mask[rated.idx[k]] = 1.0;
+  }
+  for (size_t c = 0; c < items.size(); ++c) {
+    const int32_t i = scratch.cand[c];
+    if (i < 0) {
       out[c] = 0;
       continue;
     }
-    // CandItems = ItemNeighbors(i) ∩ UserItems(u)  (Algorithm 1, line 10).
     double num = 0, den = 0;
-    for (const auto& nb : neighborhoods_[*i]) {
-      double r;
-      if (!scratch.Get(nb.idx, &r)) continue;
-      num += static_cast<double>(nb.sim) * r;
-      den += std::fabs(static_cast<double>(nb.sim));
+    for (const Neighbor& nb : neighbors_[i]) {
+      const double s = static_cast<double>(nb.sim);
+      num += s * val[nb.idx];
+      den += std::fabs(s) * mask[nb.idx];
     }
-    out[c] = den == 0 ? 0 : num / den;  // empty overlap -> 0 (line 14)
+    out[c] = den == 0 ? 0 : num / den;
+  }
+  for (size_t k = 0; k < rated.n; ++k) {
+    val[rated.idx[k]] = 0.0;
+    mask[rated.idx[k]] = 0.0;
   }
 }
 
@@ -238,16 +284,15 @@ double ItemCFModel::Similarity(int64_t item_a, int64_t item_b) const {
   auto a = ratings_->ItemIndex(item_a);
   auto b = ratings_->ItemIndex(item_b);
   if (!a || !b) return 0;
-  return SimilarityLookup(by_idx_, *a, *b);
+  return SimilarityLookup(neighbors_, *a, *b);
 }
 
 size_t ItemCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) + NeighborhoodBytes(by_idx_) +
-         ratings_->CsrApproxBytes();
+  return NeighborhoodBytes(neighbors_) + ratings_->CsrApproxBytes();
 }
 
 size_t ItemCFModel::NumNeighborEntries() const {
-  return NeighborhoodEntries(neighborhoods_);
+  return NeighborhoodEntries(neighbors_);
 }
 
 Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
@@ -265,13 +310,13 @@ Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
 }
 
 void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, &by_idx_, std::move(update));
+  InstallNeighborRows(&neighbors_, std::move(update));
 }
 
 bool ItemCFModel::ComputePruneBounds(PruneBoundTable* out) const {
-  out->item_scale.resize(neighborhoods_.size());
-  for (size_t i = 0; i < neighborhoods_.size(); ++i) {
-    out->item_scale[i] = neighborhoods_[i].empty() ? 0.0 : 1.0;
+  out->item_scale.resize(neighbors_.size());
+  for (size_t i = 0; i < neighbors_.size(); ++i) {
+    out->item_scale[i] = neighbors_[i].empty() ? 0.0 : 1.0;
   }
   out->item_offset.clear();
   // The Eq. (2) ratio is exact in the reals; double rounding can nudge it
@@ -279,7 +324,7 @@ bool ItemCFModel::ComputePruneBounds(PruneBoundTable* out) const {
   out->slack = 1e-9;
   out->candidate_generation = true;
   out->rating_dependent = false;
-  // idx >= neighborhoods_ size has no neighborhood row: the kernel returns
+  // idx >= neighbors_ size has no neighborhood row: the kernel returns
   // exactly 0 for it.
   out->oob_must_score = false;
   return true;
@@ -302,8 +347,7 @@ UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
-      neighborhoods_(std::move(neighborhoods)),
-      by_idx_(SortRowsByIdx(neighborhoods_)) {}
+      neighbors_(std::move(neighborhoods)) {}
 
 std::unique_ptr<UserCFModel> UserCFModel::Build(
     std::shared_ptr<RatingMatrix> ratings, bool centered,
@@ -328,12 +372,12 @@ void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
   // once, then each candidate item's contiguous rater row is gathered.
   // Addition order per candidate is the item's rater order (user-idx
   // ascending) — fixed per candidate, so independent of batch composition.
-  if (static_cast<size_t>(*u) >= neighborhoods_.size()) {
+  if (static_cast<size_t>(*u) >= neighbors_.size()) {
     // A user interned after this model was built has no neighborhood yet.
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  const auto& neighbors = neighborhoods_[*u];
+  const auto& neighbors = neighbors_[*u];
   DenseScratch& scratch = TlsScratch();
   scratch.Reset(ratings_->NumUsers());
   for (const auto& nb : neighbors) {
@@ -373,16 +417,15 @@ double UserCFModel::Similarity(int64_t user_a, int64_t user_b) const {
   auto a = ratings_->UserIndex(user_a);
   auto b = ratings_->UserIndex(user_b);
   if (!a || !b) return 0;
-  return SimilarityLookup(by_idx_, *a, *b);
+  return SimilarityLookup(neighbors_, *a, *b);
 }
 
 size_t UserCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) + NeighborhoodBytes(by_idx_) +
-         ratings_->CsrApproxBytes();
+  return NeighborhoodBytes(neighbors_) + ratings_->CsrApproxBytes();
 }
 
 size_t UserCFModel::NumNeighborEntries() const {
-  return NeighborhoodEntries(neighborhoods_);
+  return NeighborhoodEntries(neighbors_);
 }
 
 Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
@@ -400,7 +443,7 @@ Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
 }
 
 void UserCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, &by_idx_, std::move(update));
+  InstallNeighborRows(&neighbors_, std::move(update));
 }
 
 bool UserCFModel::ComputePruneBounds(PruneBoundTable* out) const {
@@ -427,10 +470,10 @@ bool UserCFModel::ComputePruneBounds(PruneBoundTable* out) const {
 }
 
 double UserCFModel::PruneUserScale(int32_t user_idx) const {
-  if (user_idx < 0 || static_cast<size_t>(user_idx) >= neighborhoods_.size()) {
+  if (user_idx < 0 || static_cast<size_t>(user_idx) >= neighbors_.size()) {
     return 0.0;  // kernel zero-fills users interned after the build
   }
-  return neighborhoods_[user_idx].empty() ? 0.0 : 1.0;
+  return neighbors_[user_idx].empty() ? 0.0 : 1.0;
 }
 
 }  // namespace recdb

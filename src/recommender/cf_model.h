@@ -4,7 +4,8 @@
 // lists); prediction follows Eq. (2): similarity-weighted average of the
 // user's ratings over the intersection of the item's neighborhood and the
 // user's rated items, normalized by Σ|sim|. UserCFModel is the symmetric
-// user-user variant (paper Section IV-A.2).
+// user-user variant (paper Section IV-A.2). Each model holds one table,
+// every row in ascending neighbor idx (similarity.h).
 #pragma once
 
 #include <memory>
@@ -27,20 +28,24 @@ class ItemCFModel : public RecModel {
     return centered_ ? RecAlgorithm::kItemPearCF : RecAlgorithm::kItemCosCF;
   }
 
-  /// Eq. (2) for every candidate: the user's rated items are scattered once
-  /// into a dense thread-local accumulator, then each candidate's
-  /// neighborhood is gathered against it (no per-neighbor binary search).
+  /// Eq. (2) for every candidate, by whichever of two loops does less work
+  /// (DESIGN.md §10). Gather walks each candidate's row N(i) against the
+  /// user's ratings in a dense value/mask pair: Σ_c |N(i_c)| steps. Scatter
+  /// (Lucene-CF) walks the user's rated items j and pushes s·r_uj into the
+  /// dense sums of every i in N(j): NumItems + Σ_{j∈R(u)} |N(j)| steps. Both
+  /// add a candidate's terms in ascending j, so on a symmetric table
+  /// (top_k == 0) they are bit-identical; a top-k table only gathers.
   void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
                       std::span<double> out) const override;
 
   /// Similarity of two items by external id (0 when either is unknown or
-  /// the pair is not in the neighborhood list). Binary search over an
-  /// idx-sorted view of the row, not a linear scan of the sim-sorted list.
+  /// the pair is not in the neighborhood list): a binary search of the row.
   double Similarity(int64_t item_a, int64_t item_b) const;
 
-  /// The neighborhood list of an item (dense indices), test/inspection aid.
+  /// The neighborhood list of an item (dense indices, ascending),
+  /// test/inspection aid.
   const std::vector<Neighbor>& NeighborhoodAt(int32_t item_idx) const {
-    return neighborhoods_[item_idx];
+    return neighbors_[item_idx];
   }
 
   size_t ApproxBytes() const override;
@@ -72,8 +77,7 @@ class ItemCFModel : public RecModel {
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [item_idx], sim-sorted
-  std::vector<std::vector<Neighbor>> by_idx_;         // [item_idx], idx-sorted
+  std::vector<std::vector<Neighbor>> neighbors_;  // [item_idx], idx-ascending
 };
 
 class UserCFModel : public RecModel {
@@ -95,7 +99,7 @@ class UserCFModel : public RecModel {
   double Similarity(int64_t user_a, int64_t user_b) const;
 
   const std::vector<Neighbor>& NeighborhoodAt(int32_t user_idx) const {
-    return neighborhoods_[user_idx];
+    return neighbors_[user_idx];
   }
 
   size_t ApproxBytes() const override;
@@ -122,8 +126,7 @@ class UserCFModel : public RecModel {
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [user_idx], sim-sorted
-  std::vector<std::vector<Neighbor>> by_idx_;         // [user_idx], idx-sorted
+  std::vector<std::vector<Neighbor>> neighbors_;  // [user_idx], idx-ascending
 };
 
 }  // namespace recdb

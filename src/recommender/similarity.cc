@@ -12,10 +12,11 @@ namespace recdb {
 
 namespace {
 
-/// Neighbor selection for one output row: filter, sort by descending
-/// similarity, optional top-k trim by |sim|. Shared between the full
-/// build and per-row recompute so the two paths cannot drift — the delta
-/// path's bit-identity guarantee depends on this being the same code.
+/// Neighbor selection for one output row: filter, optional top-k trim by
+/// |sim|, rows returned in ascending neighbor idx (the `q` loop's own
+/// order). Shared between the full build and per-row recompute so the two
+/// paths cannot drift — the delta path's bit-identity guarantee depends on
+/// this being the same code.
 template <typename DotFn, typename OverlapFn>
 std::vector<Neighbor> SelectRow(size_t p, size_t n,
                                 const std::vector<double>& norms,
@@ -34,13 +35,15 @@ std::vector<Neighbor> SelectRow(size_t p, size_t n,
     if (sim == 0.0f) continue;
     row.push_back(Neighbor{static_cast<int32_t>(q), sim});
   }
-  std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.sim != b.sim) return a.sim > b.sim;
-    return a.idx < b.idx;
-  });
   if (opts.top_k > 0 && row.size() > static_cast<size_t>(opts.top_k)) {
     // Keep the k strongest by |sim| (negative correlations carry signal
-    // for Pearson), then restore descending-sim order.
+    // for Pearson). partial_sort is not stable, so it runs over the
+    // (sim desc, idx asc) order to keep |sim| ties resolving the same way;
+    // the kept set then goes back to idx order.
+    std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
+      if (a.sim != b.sim) return a.sim > b.sim;
+      return a.idx < b.idx;
+    });
     std::partial_sort(row.begin(), row.begin() + opts.top_k, row.end(),
                       [](const Neighbor& a, const Neighbor& b) {
                         return std::fabs(a.sim) > std::fabs(b.sim);
@@ -48,7 +51,6 @@ std::vector<Neighbor> SelectRow(size_t p, size_t n,
     row.resize(opts.top_k);
     std::sort(row.begin(), row.end(),
               [](const Neighbor& a, const Neighbor& b) {
-                if (a.sim != b.sim) return a.sim > b.sim;
                 return a.idx < b.idx;
               });
   }
@@ -125,7 +127,7 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
   });
 
   // Per-row neighbor lists are independent: parallel over rows, each row's
-  // sort and top-k trim identical to the serial computation.
+  // top-k trim identical to the serial computation.
   std::vector<std::vector<Neighbor>> result(n);
   sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {

@@ -31,8 +31,14 @@ struct SimilarityOptions {
   int32_t min_overlap = 1;
 };
 
-/// Compute per-item similarity lists (paper Item Neighborhood Table):
-/// result[i] is item i's neighbors, sorted by descending similarity.
+/// Compute per-item similarity lists (paper Item Neighborhood Table).
+///
+/// Row-order contract (every builder and recompute below): result[i] holds
+/// item i's neighbors in strictly ascending neighbor idx, never i itself.
+/// With `top_k == 0` the table is symmetric — j is in row i exactly when i
+/// is in row j, with the same float sim — because both ends of a pair read
+/// one dot-product cell and norms[p]*norms[q] commutes. ItemCF's scatter
+/// kernel relies on that (DESIGN.md §10); a top-k trim breaks it.
 std::vector<std::vector<Neighbor>> BuildItemNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts);
 

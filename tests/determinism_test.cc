@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "api/recdb.h"
+#include "common/rng.h"
 #include "common/task_scheduler.h"
 #include "execution/executor.h"
 #include "recommender/cf_model.h"
@@ -510,6 +511,147 @@ TEST(BatchScalarEqualityTest, ItemCFBatchBitIdenticalToScalar) {
   for (int64_t user : kGoldenUsers) {
     ExpectBatchMatchesScalar(*cosine, user);
     ExpectBatchMatchesScalar(*pearson, user);
+  }
+}
+
+// ItemCF chooses between two loops per PredictBatch call by cost:
+//   gather  = Σ_{c in batch} |N(i_c)|
+//   scatter = NumItems + Σ_{j in R(u)} |N(j)|   (only on a top_k == 0 table)
+// A single-item Predict costs gather |N(i)| <= NumItems - 1 < scatter, so it
+// always gathers. On the golden matrix (18 items, rows of up to 17
+// neighbors, users with at most 7 ratings) a whole-catalog batch costs
+// gather ~18·16 ≈ 290 against scatter <= 18 + 7·17 = 137; on the
+// real-valued matrix (30 items, rows of up to 29, at most 14 ratings) it is
+// ~30·28 ≈ 840 against <= 30 + 14·29 = 436. Either way it scatters, and
+// comparing the two with EXPECT_EQ on doubles is a scatter-vs-gather
+// comparison. KernelCosts recomputes both sums from the public table, so
+// the test checks which loop ran rather than assuming it. The golden
+// matrix's half-integer ratings make most sums exact in double, where
+// summation order cannot show; the real-valued one makes every product
+// and sum round, so the two loops agree only if they add in one order.
+struct KernelCosts {
+  size_t gather = 0;
+  size_t scatter = 0;
+};
+
+KernelCosts ItemCFCosts(const ItemCFModel& model, size_t table_rows,
+                        int64_t user_id, const std::vector<int64_t>& items) {
+  const RatingMatrix& m = model.ratings();
+  KernelCosts k;
+  k.scatter = m.NumItems();
+  auto u = m.UserIndex(user_id);
+  if (!u || m.UserVector(*u).empty()) return k;
+  for (int64_t id : items) {
+    auto i = m.ItemIndex(id);
+    if (i && static_cast<size_t>(*i) < table_rows) {
+      k.gather += model.NeighborhoodAt(*i).size();
+    }
+  }
+  for (const RatingEntry& e : m.UserVector(*u)) {
+    if (static_cast<size_t>(e.idx) < table_rows) {
+      k.scatter += model.NeighborhoodAt(e.idx).size();
+    }
+  }
+  return k;
+}
+
+/// Whole-catalog PredictBatch against per-item Predict for every user of
+/// the matrix plus an unknown id; returns how many users' batches were
+/// priced for the scatter loop.
+size_t ExpectCatalogBatchMatchesScalar(const ItemCFModel& model,
+                                       size_t table_rows,
+                                       const std::string& what) {
+  const RatingMatrix& m = model.ratings();
+  std::vector<int64_t> items = m.item_ids();
+  items.push_back(9999);  // unknown item id
+  std::vector<int64_t> users = m.user_ids();
+  users.push_back(424242);  // unknown user id
+  size_t scattered = 0;
+  for (int64_t user : users) {
+    std::vector<double> batch(items.size(), -1);
+    model.PredictBatch(user, items, batch);
+    for (size_t k = 0; k < items.size(); ++k) {
+      EXPECT_EQ(batch[k], model.Predict(user, items[k]))
+          << what << " user " << user << " item " << items[k];
+    }
+    const KernelCosts c = ItemCFCosts(model, table_rows, user, items);
+    if (c.scatter < c.gather) ++scattered;
+  }
+  return scattered;
+}
+
+/// Users 100..139 rate 8-14 of items 500..529 with real-valued ratings.
+std::shared_ptr<RatingMatrix> MakeRealValuedMatrix() {
+  auto m = std::make_shared<RatingMatrix>();
+  Rng rng(11);
+  for (int u = 0; u < 40; ++u) {
+    const int64_t n = rng.UniformInt(8, 14);
+    for (int64_t k = 0; k < n; ++k) {
+      m->Add(100 + u, 500 + rng.UniformInt(0, 29), rng.UniformDouble(0.5, 5));
+    }
+  }
+  return m;
+}
+
+TEST(BatchScalarEqualityTest, ItemCFScatterAndGatherBitIdentical) {
+  for (bool real_valued : {false, true}) {
+    for (bool centered : {false, true}) {
+      const std::string algo =
+          std::string(centered ? "ItemPearCF" : "ItemCosCF") +
+          (real_valued ? " real-valued" : " golden");
+      auto m = real_valued ? MakeRealValuedMatrix() : MakeGoldenMatrix();
+      auto model = ItemCFModel::Build(m, centered);
+      size_t rows = m->NumItems();
+      // Every user with a rating scatters (the golden zero-rating user 199
+      // does not).
+      size_t raters = 0;
+      for (size_t u = 0; u < m->NumUsers(); ++u) {
+        raters += !m->UserVector(static_cast<int32_t>(u)).empty();
+      }
+      EXPECT_EQ(ExpectCatalogBatchMatchesScalar(*model, rows, algo + " built"),
+                raters);
+
+      // Overlay edits: an overwrite, a removal, a new rating, and a user and
+      // an item interned after the build. Before the update the table is
+      // the built one (still symmetric); the new item has no row and scores
+      // 0, the new user scores through the merge view.
+      m->Add(100, 503, 4.5);
+      const int64_t first_of_112 =
+          m->ItemIdAt(m->UserVector(*m->UserIndex(112)).front().idx);
+      ASSERT_TRUE(m->Remove(112, first_of_112));
+      m->Add(105, 517, 2.0);
+      m->Add(300, 501, 5.0);
+      m->Add(300, 510, 1.0);
+      m->Add(301, 600, 3.5);
+      m->Add(100, 600, 2.5);
+      EXPECT_GT(ExpectCatalogBatchMatchesScalar(*model, rows,
+                                                algo + " before update"),
+                0u);
+      EXPECT_EQ(model->Predict(301, 600), 0.0);
+
+      auto update = model->PrepareDeltaUpdate(m->delta_ops());
+      ASSERT_TRUE(update.ok());
+      rows = update.value().num_rows;
+      model->ApplyDeltaUpdate(std::move(update).value());
+      EXPECT_GT(ExpectCatalogBatchMatchesScalar(*model, rows,
+                                                algo + " after update"),
+                0u);
+      EXPECT_NE(model->Predict(100, 600), 0.0) << algo;
+    }
+  }
+}
+
+TEST(BatchScalarEqualityTest, ItemCFTopKTableGathersOnly) {
+  // A top-k trim leaves the table asymmetric, so the kernel never
+  // scatters; the batch must still match per-item Predict.
+  SimilarityOptions opts;
+  opts.top_k = 3;
+  for (bool centered : {false, true}) {
+    auto m = MakeGoldenMatrix();
+    auto model = ItemCFModel::Build(m, centered, opts);
+    ExpectCatalogBatchMatchesScalar(*model, m->NumItems(),
+                                    centered ? "ItemPearCF k=3"
+                                             : "ItemCosCF k=3");
   }
 }
 

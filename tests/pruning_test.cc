@@ -10,6 +10,7 @@
 // pending delta overlay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -239,6 +240,153 @@ TEST(PrunedEquivalenceTest, PerUserFilterRecommendMatchesExact) {
   EXPECT_LT(pruned.value().stats.predictions, exact.value().stats.predictions);
 }
 
+// ------------------------------------------------ exact-path per-user bound
+
+// Under a TopN ordered by the score, the exact Recommend path keeps only
+// each user's k best rows (score desc, item position asc). Oracle: the same
+// statement with neither ORDER BY nor LIMIT — the unbounded arrival order —
+// stable-sorted by score, first k rows. No ANALYZE runs, so the plan stays
+// exact (pruned mode needs grounded statistics).
+
+/// Tie-heavy ratings: 60 users x 300 items, 3 ratings per user, so most
+/// unseen items share no co-rater with the user and score exactly 0.0.
+void LoadTieHeavyRatings(RecDB* db) {
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int u = 1; u <= 60; ++u) {
+    for (int k = 0; k < 3; ++k) {
+      int item = (u * 53 + k * 97) % 300 + 1;
+      rows.push_back(
+          {Value::Int(u), Value::Int(item), Value::Double((u + k) % 5 + 1)});
+    }
+  }
+  ASSERT_TRUE(db->BulkInsert("Ratings", rows).ok());
+}
+
+std::string FirstKByScore(RecDB* db, const std::string& unbounded, size_t k) {
+  auto rs = db->Execute(unbounded);
+  EXPECT_TRUE(rs.ok()) << unbounded;
+  if (!rs.ok()) return "";
+  ResultSet& full = rs.value();
+  std::stable_sort(full.rows.begin(), full.rows.end(),
+                   [](const Tuple& a, const Tuple& b) {
+                     return a.At(2).AsNumeric() > b.At(2).AsNumeric();
+                   });
+  if (full.rows.size() > k) full.rows.resize(k);
+  return RowsToString(full);
+}
+
+TEST(PerUserBoundTest, ExactTopKEqualsStableSortedFullOutput) {
+  ParallelismGuard guard;
+  for (bool tie_heavy : {false, true}) {
+    for (const char* algo : {"ItemCosCF", "UserPearCF", "SVD"}) {
+      RecDB db;
+      if (tie_heavy) {
+        LoadTieHeavyRatings(&db);
+      } else {
+        LoadSparseRatings(&db);
+      }
+      ASSERT_TRUE(db.Execute(std::string("CREATE RECOMMENDER r ON Ratings "
+                                         "USERS FROM uid ITEMS FROM iid "
+                                         "RATINGS FROM ratingval USING ") +
+                             algo)
+                      .ok());
+      const std::string base =
+          std::string("SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+                      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
+          algo;
+      for (const char* where :
+           {"", " WHERE R.uid = 7", " WHERE R.uid IN (1, 7, 13, 42, 60)"}) {
+        // 500 exceeds every user's unseen count (200 or 300 items).
+        for (size_t k : {size_t{1}, size_t{10}, size_t{500}}) {
+          const std::string what = std::string(algo) + where +
+                                   " k=" + std::to_string(k) +
+                                   (tie_heavy ? " tie-heavy" : "");
+          const std::string bounded = base + where +
+                                      " ORDER BY R.ratingval DESC LIMIT " +
+                                      std::to_string(k);
+          ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+          auto plan = db.Explain(bounded);
+          ASSERT_TRUE(plan.ok()) << what;
+          EXPECT_NE(plan.value().find("topk=" + std::to_string(k)),
+                    std::string::npos)
+              << what << "\n" << plan.value();
+          EXPECT_EQ(plan.value().find("mode=pruned"), std::string::npos)
+              << what;
+          const std::string expected = FirstKByScore(&db, base + where, k);
+          ASSERT_FALSE(expected.empty()) << what;
+          for (int threads : {1, 2, 8}) {
+            ASSERT_TRUE(
+                db.Execute("SET parallelism = " + std::to_string(threads))
+                    .ok());
+            auto got = db.Execute(bounded);
+            ASSERT_TRUE(got.ok()) << what;
+            EXPECT_EQ(RowsToString(got.value()), expected)
+                << what << " at parallelism " << threads;
+          }
+        }
+      }
+      ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+    }
+  }
+}
+
+TEST(PerUserBoundTest, IncludeRatedBoundsRatedRowsToo) {
+  // Algorithm 1's literal mode emits rated items with their stored rating;
+  // the bound ranks them beside the predictions.
+  RecDBOptions opts;
+  opts.planner.include_rated = true;
+  RecDB db(opts);
+  LoadSparseRatings(&db);
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                         "ITEMS FROM iid RATINGS FROM ratingval "
+                         "USING ItemCosCF")
+                  .ok());
+  const std::string base =
+      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+  for (const char* where :
+       {" WHERE R.uid = 7", " WHERE R.uid IN (1, 7, 13, 42, 60)"}) {
+    const std::string bounded =
+        base + where + " ORDER BY R.ratingval DESC LIMIT 10";
+    auto plan = db.Explain(bounded);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan.value().find("topk=10"), std::string::npos)
+        << plan.value();
+    auto got = db.Execute(bounded);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(RowsToString(got.value()), FirstKByScore(&db, base + where, 10))
+        << where;
+  }
+}
+
+TEST(PerUserBoundTest, ToggleOffDropsTheBound) {
+  RecDB db;
+  LoadSparseRatings(&db);
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                         "ITEMS FROM iid RATINGS FROM ratingval "
+                         "USING ItemCosCF")
+                  .ok());
+  const std::string query =
+      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
+      "WHERE R.uid = 7 ORDER BY R.ratingval DESC LIMIT 10";
+  auto bounded = db.Execute(query);
+  ASSERT_TRUE(bounded.ok());
+  db.mutable_planner_options()->enable_pruned_topn = false;
+  auto plan = db.Explain(query);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().find("topk="), std::string::npos) << plan.value();
+  auto unbounded = db.Execute(query);
+  ASSERT_TRUE(unbounded.ok());
+  EXPECT_EQ(RowsToString(bounded.value()), RowsToString(unbounded.value()));
+  // The bound changes what is emitted, not what is scored.
+  EXPECT_EQ(bounded.value().stats.predictions,
+            unbounded.value().stats.predictions);
+}
+
 // ------------------------------------------------------ planner choose/decline
 
 TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
@@ -253,11 +401,13 @@ TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
       "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
       "ORDER BY R.ratingval DESC LIMIT 10";
 
-  // Ungrounded (no ANALYZE): the plan must match the rule-only optimizer.
+  // Ungrounded (no ANALYZE): the mode must match the rule-only optimizer;
+  // only the exact path's per-user bound shows.
   auto before = db.Execute(explain);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(RowsToString(before.value()).find("mode=pruned"),
             std::string::npos);
+  EXPECT_NE(RowsToString(before.value()).find("topk=10"), std::string::npos);
 
   ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
   uint64_t chosen0 = CounterValue(Counter::kPrunePlanChosen);
@@ -267,6 +417,7 @@ TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
   EXPECT_NE(plan.find("mode=pruned(k=10)"), std::string::npos) << plan;
   EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
   EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("topk="), std::string::npos) << plan;
   EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
 
   db.mutable_planner_options()->enable_pruned_topn = false;

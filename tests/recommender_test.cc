@@ -209,9 +209,9 @@ TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
       EXPECT_NEAR(n.sim, oracle, 1e-6);
       EXPECT_NE(n.idx, static_cast<int32_t>(p)) << "self-similarity stored";
     }
-    // Sorted descending.
+    // Strictly ascending idx (the row-order contract in similarity.h).
     for (size_t k = 1; k < nb[p].size(); ++k) {
-      EXPECT_GE(nb[p][k - 1].sim, nb[p][k].sim);
+      EXPECT_LT(nb[p][k - 1].idx, nb[p][k].idx);
     }
   }
 }
@@ -224,11 +224,11 @@ TEST(SimilarityTest, SymmetricSimilarity) {
 }
 
 TEST(SimilarityTest, LookupMatchesLinearScanOracle) {
-  // Similarity() binary-searches an idx-sorted view of each neighborhood
-  // row; the stored rows themselves are sim-sorted (and top-k truncation
-  // makes them visibly non-idx-ordered). Every pair must agree with a
-  // brute-force linear scan of the stored row, including absent pairs
-  // (0.0) and ids unknown to the matrix.
+  // Similarity() binary-searches the stored idx-ascending neighborhood
+  // row, with and without a top-k trim (which sorts by |sim| before
+  // restoring idx order). Every pair must agree with a brute-force linear
+  // scan of the stored row, including absent pairs (0.0) and ids unknown
+  // to the matrix.
   RatingMatrix m;
   Rng rng(17);
   for (int u = 0; u < 30; ++u) {
@@ -259,6 +259,11 @@ TEST(SimilarityTest, LookupMatchesLinearScanOracle) {
     }
     EXPECT_EQ(model->Similarity(0, 424242), 0.0);
     EXPECT_EQ(model->Similarity(424242, 0), 0.0);
+    // An item interned after the build has no row yet: 0, not a read past
+    // the end of the table.
+    mp->Add(0, 777, 4.0);
+    EXPECT_EQ(model->Similarity(777, 0), 0.0);
+    EXPECT_EQ(model->Similarity(0, 777), 0.0);
   }
 }
 
