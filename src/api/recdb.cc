@@ -710,16 +710,6 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
       for (const auto& line : Split(rendered, '\n')) {
         if (!line.empty()) rs.rows.push_back(Tuple({Value::String(line)}));
       }
-      if (explain.analyze &&
-          (rs.stats.candidates_generated > 0 || rs.stats.blocks_skipped > 0 ||
-           rs.stats.items_pruned > 0)) {
-        rs.rows.push_back(Tuple({Value::String(StringFormat(
-            "pruning: %llu candidates generated, %llu blocks skipped, "
-            "%llu items pruned",
-            static_cast<unsigned long long>(rs.stats.candidates_generated),
-            static_cast<unsigned long long>(rs.stats.blocks_skipped),
-            static_cast<unsigned long long>(rs.stats.items_pruned)))}));
-      }
       return rs;
     }
     case StatementKind::kCreateRecommender:
@@ -1394,13 +1384,6 @@ std::string ResultSet::ToString(size_t max_rows) const {
         "scoring: %llu predictions in %llu batches\n",
         static_cast<unsigned long long>(stats.predictions),
         static_cast<unsigned long long>(stats.predict_batches));
-  }
-  if (stats.candidates_generated > 0 || stats.items_pruned > 0) {
-    out += StringFormat(
-        "pruning: %llu candidates, %llu blocks skipped, %llu items pruned\n",
-        static_cast<unsigned long long>(stats.candidates_generated),
-        static_cast<unsigned long long>(stats.blocks_skipped),
-        static_cast<unsigned long long>(stats.items_pruned));
   }
   if (stats.tasks_spawned > 0) {
     out += StringFormat(

@@ -26,10 +26,6 @@ struct ExecStats {
   uint64_t index_hits = 0;          // users served from RecScoreIndex
   uint64_t index_misses = 0;        // users that fell back to the model
   uint64_t join_probes = 0;
-  // Sublinear Top-N (CandidateIndex + TopKPruner) during the statement.
-  uint64_t candidates_generated = 0;  // items reached by the postings walk
-  uint64_t blocks_skipped = 0;        // bound blocks pruned below threshold
-  uint64_t items_pruned = 0;          // items never scored thanks to pruning
   // Morsel-parallel execution (TaskScheduler) during the statement.
   uint64_t tasks_spawned = 0;  // morsels executed by the scheduler
   double worker_time_ms = 0;   // summed worker busy time across morsels

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
-#include <span>
 
 #include "common/task_scheduler.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace recdb {
@@ -95,301 +91,6 @@ void ScoreUserRange(const RecModel* model, const RatingMatrix& snapshot,
 
 }  // namespace
 
-// ------------------------------------------------------------ PruneEngine
-
-PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-                         const CandidateIndex& index, bool rank_by_id)
-    : model_(model),
-      snapshot_(snapshot),
-      index_(index),
-      rank_by_id_(rank_by_id),
-      num_items_(snapshot.NumItems()) {
-  walk_stamp_.assign(num_items_, 0);
-  consume_stamp_.assign(num_items_, 0);
-  user_stamp_.assign(index.num_users(), 0);
-  block_items_.resize(index.blocks().size());
-  if (rank_by_id_) {
-    // Items interned after the base: out-of-band for order_by_id(), merged
-    // in by external id during the zero-merge.
-    for (size_t i = index.num_items(); i < num_items_; ++i) {
-      oob_by_id_.emplace_back(snapshot.ItemIdAt(static_cast<int32_t>(i)),
-                              static_cast<int32_t>(i));
-    }
-    std::sort(oob_by_id_.begin(), oob_by_id_.end());
-  }
-}
-
-bool PruneEngine::Rated(int32_t u, int32_t item_idx) const {
-  return snapshot_.GetByIndex(u, item_idx).has_value();
-}
-
-double PruneEngine::PaddedBound(double scale_u, double offset_u,
-                                double max_scale, double max_offset) const {
-  const double core = scale_u * max_scale + offset_u + max_offset;
-  const double pad =
-      index_.bounds().slack * (std::fabs(scale_u * max_scale) +
-                               std::fabs(offset_u) + std::fabs(max_offset));
-  return core + pad + 1e-12;
-}
-
-void PruneEngine::GenerateCandidates(int32_t u) {
-  candidates_.clear();
-  start_.clear();
-  const uint32_t e = epoch_;
-  auto mark = [&](int32_t i) {
-    if (i < 0 || static_cast<size_t>(i) >= num_items_) return false;
-    if (walk_stamp_[i] == e) return false;
-    walk_stamp_[i] = e;
-    candidates_.push_back(i);
-    return true;
-  };
-  // Start items: the user's base row plus, when the delta overlay touched
-  // the row, its full merged side row (covers ratings added since the
-  // freeze — their item-based similarities anchor to the base, and the
-  // user-based families need the base row, which the side row contains
-  // unless removed; removed base items cannot seed a nonzero similarity
-  // for item families and are re-covered below for user families via the
-  // base postings).
-  const CandidateIndex::Postings base_row = index_.RatedItems(u);
-  for (size_t a = 0; a < base_row.n; ++a) {
-    if (mark(base_row.idx[a])) start_.push_back(base_row.idx[a]);
-  }
-  if (snapshot_.IsUserRowTouched(u)) {
-    const CsrRow side = snapshot_.UserCsrRow(u);
-    for (size_t a = 0; a < side.n; ++a) {
-      if (mark(side.idx[a])) start_.push_back(side.idx[a]);
-    }
-  }
-  // Two-hop: raters come from the base postings only — a nonzero
-  // similarity requires a base co-rating, so delta-only raters cannot
-  // contribute a nonzero score.
-  for (int32_t j : start_) {
-    const CandidateIndex::Postings raters = index_.Raters(j);
-    for (size_t b = 0; b < raters.n; ++b) {
-      const int32_t v = raters.idx[b];
-      if (static_cast<size_t>(v) >= user_stamp_.size() ||
-          user_stamp_[v] == e) {
-        continue;
-      }
-      user_stamp_[v] = e;
-      const CandidateIndex::Postings co = index_.RatedItems(v);
-      for (size_t c = 0; c < co.n; ++c) mark(co.idx[c]);
-      if (snapshot_.IsUserRowTouched(v)) {
-        const CsrRow vside = snapshot_.UserCsrRow(v);
-        for (size_t c = 0; c < vside.n; ++c) mark(vside.idx[c]);
-      }
-    }
-  }
-  candidates_generated += candidates_.size();
-}
-
-void PruneEngine::ScoreBatch(int64_t user_id,
-                             const std::vector<int32_t>& items,
-                             TopKPruner* pruner) {
-  if (items.empty()) return;
-  batch_ids_.clear();
-  for (int32_t c : items) batch_ids_.push_back(snapshot_.ItemIdAt(c));
-  batch_pred_.assign(batch_ids_.size(), 0.0);
-  model_->PredictBatch(user_id, batch_ids_, batch_pred_);
-  for (size_t k = 0; k < items.size(); ++k) {
-    const int64_t rank = rank_by_id_ ? batch_ids_[k] : items[k];
-    pruner->Offer(batch_pred_[k], rank, batch_ids_[k]);
-  }
-  predictions += items.size();
-  ++batches;
-}
-
-void PruneEngine::ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
-                            TopKPruner* pruner) {
-  (void)user_id;
-  const size_t bts = index_.bound_table_size();
-  // Offer 0.0 for every still-unconsumed unrated item in rank order; all
-  // offers carry the same score with ascending rank, so the first
-  // rejection ends the merge.
-  auto offer = [&](int32_t c, int64_t rank, int64_t id) {
-    if (!pruner->WouldAccept(0.0, rank)) return false;
-    if (mode == MergeMode::kSkipConsumed && consume_stamp_[c] == epoch_) {
-      return true;
-    }
-    if (mode == MergeMode::kSkipInBounds && static_cast<size_t>(c) < bts) {
-      return true;
-    }
-    if (Rated(u, c)) return true;
-    pruner->Offer(0.0, rank, id);
-    return true;
-  };
-  if (!rank_by_id_) {
-    for (size_t c = 0; c < num_items_; ++c) {
-      const int32_t idx = static_cast<int32_t>(c);
-      if (!offer(idx, idx, snapshot_.ItemIdAt(idx))) return;
-    }
-    return;
-  }
-  // External-id order: merge the base items (order_by_id) with the items
-  // interned after the base (oob_by_id_), both id-ascending.
-  const std::vector<int32_t>& by_id = index_.order_by_id();
-  const std::vector<int64_t>& ids = snapshot_.item_ids();
-  size_t a = 0, b = 0;
-  while (a < by_id.size() || b < oob_by_id_.size()) {
-    bool take_base;
-    if (a >= by_id.size()) {
-      take_base = false;
-    } else if (b >= oob_by_id_.size()) {
-      take_base = true;
-    } else {
-      take_base = ids[by_id[a]] < oob_by_id_[b].first;
-    }
-    const int32_t c = take_base ? by_id[a++] : oob_by_id_[b++].second;
-    const int64_t id = ids[c];
-    if (!offer(c, id, id)) return;
-  }
-}
-
-std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
-                                                     size_t k, double floor) {
-  TopKPruner pruner(k, floor);
-  auto uopt = snapshot_.UserIndex(user_id);
-  if (!uopt.has_value()) return {};
-  const int32_t u = *uopt;
-  const PruneBoundTable& bt = index_.bounds();
-  const bool has_offset = !bt.item_offset.empty();
-  ++epoch_;
-
-  // All-zero users (empty row / empty neighborhood / unknown to the
-  // model): every prediction is exactly 0.0, so the whole catalog goes
-  // through the zero-merge.
-  bool pure_zero = model_->PruneUserAllZero(u);
-  double scale_u = 0, offset_u = 0;
-  if (!pure_zero) {
-    scale_u = model_->PruneUserScale(u);
-    offset_u = model_->PruneUserOffset(u);
-    if (scale_u == 0.0 && offset_u == 0.0 && !has_offset) pure_zero = true;
-  }
-  if (pure_zero) {
-    ZeroMerge(user_id, u, MergeMode::kAllUnrated, &pruner);
-    return pruner.DrainBestFirst();
-  }
-
-  const size_t bts = index_.bound_table_size();
-  const std::vector<CandidateIndex::Block>& blocks = index_.blocks();
-  must_score_.clear();
-  touched_blocks_.clear();
-
-  if (bt.candidate_generation) {
-    GenerateCandidates(u);
-    // Partition: rated items are consumed (never emitted); out-of-bound
-    // items either must be scored (no trustable bound) or are provably
-    // 0.0 and stay for the zero-merge; delta-touched item rows with
-    // rating-dependent bounds must be scored; the rest bucket per block.
-    const std::vector<int32_t>& block_of = index_.block_of();
-    for (int32_t c : candidates_) {
-      if (Rated(u, c)) {
-        consume_stamp_[c] = epoch_;
-        continue;
-      }
-      if (static_cast<size_t>(c) >= bts) {
-        if (bt.oob_must_score) {
-          must_score_.push_back(c);
-          consume_stamp_[c] = epoch_;
-        }
-        continue;
-      }
-      if (bt.rating_dependent && snapshot_.IsItemRowTouched(c)) {
-        must_score_.push_back(c);
-        consume_stamp_[c] = epoch_;
-        continue;
-      }
-      const int32_t blk = block_of[c];
-      if (block_items_[blk].empty()) touched_blocks_.push_back(blk);
-      block_items_[blk].push_back(c);
-      consume_stamp_[c] = epoch_;  // scored, or provably below threshold
-    }
-    ScoreBatch(user_id, must_score_, &pruner);
-    std::sort(touched_blocks_.begin(), touched_blocks_.end());
-    for (size_t t = 0; t < touched_blocks_.size(); ++t) {
-      const int32_t blk = touched_blocks_[t];
-      const CandidateIndex::Block& B = blocks[blk];
-      if (pruner.CanSkip(
-              PaddedBound(scale_u, offset_u, B.suffix_scale,
-                          B.suffix_offset))) {
-        // No later block can beat the threshold either.
-        for (size_t t2 = t; t2 < touched_blocks_.size(); ++t2) {
-          items_pruned += block_items_[touched_blocks_[t2]].size();
-          ++blocks_skipped;
-        }
-        break;
-      }
-      if (pruner.CanSkip(
-              PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-        items_pruned += block_items_[blk].size();
-        ++blocks_skipped;
-        continue;
-      }
-      ScoreBatch(user_id, block_items_[blk], &pruner);
-    }
-    for (int32_t blk : touched_blocks_) block_items_[blk].clear();
-    ZeroMerge(user_id, u, MergeMode::kSkipConsumed, &pruner);
-    return pruner.DrainBestFirst();
-  }
-
-  // Catalog-sweep families (e.g. SVD): no candidate sets — sweep the bound
-  // blocks in descending static-bound order, batch-scoring the unrated
-  // items of each surviving block.
-  std::vector<int32_t>& blk_cand = must_score_;  // reuse scratch
-  const std::vector<int32_t>& order = index_.order();
-  for (size_t bi = 0; bi < blocks.size(); ++bi) {
-    const CandidateIndex::Block& B = blocks[bi];
-    if (pruner.CanSkip(PaddedBound(scale_u, offset_u, B.suffix_scale,
-                                   B.suffix_offset))) {
-      for (size_t b2 = bi; b2 < blocks.size(); ++b2) {
-        items_pruned += blocks[b2].end - blocks[b2].begin;
-        ++blocks_skipped;
-      }
-      break;
-    }
-    if (pruner.CanSkip(
-            PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-      items_pruned += B.end - B.begin;
-      ++blocks_skipped;
-      continue;
-    }
-    blk_cand.clear();
-    for (uint32_t p = B.begin; p < B.end; ++p) {
-      const int32_t c = order[p];
-      if (static_cast<size_t>(c) >= num_items_) continue;
-      if (!Rated(u, c)) blk_cand.push_back(c);
-    }
-    ScoreBatch(user_id, blk_cand, &pruner);
-  }
-  ZeroMerge(user_id, u, MergeMode::kSkipInBounds, &pruner);
-  return pruner.DrainBestFirst();
-}
-
-void PruneEngine::CandidateBitmap(int64_t user_id,
-                                  std::vector<uint8_t>* mark) {
-  mark->assign(num_items_, 0);
-  auto uopt = snapshot_.UserIndex(user_id);
-  if (!uopt.has_value()) return;
-  ++epoch_;
-  GenerateCandidates(*uopt);
-  for (int32_t c : candidates_) (*mark)[c] = 1;
-}
-
-void PruneEngine::FlushStats(ExecStats* stats) {
-  if (stats != nullptr) {
-    stats->candidates_generated += candidates_generated;
-    stats->blocks_skipped += blocks_skipped;
-    stats->items_pruned += items_pruned;
-    stats->predictions += predictions;
-    stats->predict_batches += batches;
-  }
-  obs::Count(obs::Counter::kPruneCandidatesGenerated, candidates_generated);
-  obs::Count(obs::Counter::kPruneBlocksSkipped, blocks_skipped);
-  obs::Count(obs::Counter::kPruneItemsPruned, items_pruned);
-  candidates_generated = blocks_skipped = items_pruned = 0;
-  predictions = batches = 0;
-}
-
 // -------------------------------------------------- Recommend / FilterRec
 
 Status RecommendExecutor::Init() {
@@ -406,15 +107,6 @@ Status RecommendExecutor::Init() {
   buffered_ = false;
   buffer_.clear();
   buffer_pos_ = 0;
-  // Pruned Top-K mode: only under the optimizer's preconditions (no item
-  // pushdown so item position tie-breaks survive, unseen-only emission)
-  // and only when the recommender published a prunable CandidateIndex.
-  prune_active_ = false;
-  if (plan_.prune && plan_.prune_limit > 0 && !plan_.include_rated &&
-      !plan_.item_ids.has_value()) {
-    cindex_ = plan_.rec->candidate_index();
-    prune_active_ = cindex_ != nullptr && cindex_->prunable();
-  }
   if (plan_.prune_limit > 0) {
     RECDB_RETURN_NOT_OK(ScoreUserTopK());
     buffered_ = true;
@@ -432,38 +124,25 @@ Status RecommendExecutor::ScoreUserTopK() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
   const size_t k = plan_.prune_limit;
-  if (prune_active_) obs::Count(obs::Counter::kPruneTopkQueries);
-  Stopwatch watch;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<std::vector<Tuple>> per_user(users_.size());
-  std::atomic<uint64_t> cand{0}, skipped{0}, pruned{0};
   std::atomic<uint64_t> preds{0}, batches{0};
   auto score_range = [&](size_t begin, size_t end) {
-    std::optional<PruneEngine> engine;
-    if (prune_active_) {
-      engine.emplace(model, snapshot, *cindex_, /*rank_by_id=*/false);
-    }
     UserRowScores row;
     uint64_t local_preds = 0, local_batches = 0;
     for (size_t ui = begin; ui < end; ++ui) {
-      std::vector<TopKPruner::Entry> entries;
-      if (engine) {
-        entries = engine->UserTopK(users_[ui], k, kNegInf);
-      } else {
-        // Exact path: score the whole row, keep the k best of what the
-        // unbounded path would emit, under the same (score desc, item
-        // position asc) order the parent TopN applies within one user.
-        ScoreUserRange(model, snapshot, users_[ui], items_, 0, items_.size(),
-                       &row);
-        local_preds += row.predicted;
-        local_batches += row.batches;
-        TopKPruner pruner(k);
-        for (size_t p = 0; p < items_.size(); ++p) {
-          if (row.rated[p] && !plan_.include_rated) continue;
-          pruner.Offer(row.score[p], static_cast<int64_t>(p), items_[p]);
-        }
-        entries = pruner.DrainBestFirst();
+      // Score the whole row, keep the k best of what the unbounded path
+      // would emit, under the same (score desc, item position asc) order
+      // the parent TopN applies within one user.
+      ScoreUserRange(model, snapshot, users_[ui], items_, 0, items_.size(),
+                     &row);
+      local_preds += row.predicted;
+      local_batches += row.batches;
+      TopKPruner pruner(k);
+      for (size_t p = 0; p < items_.size(); ++p) {
+        if (row.rated[p] && !plan_.include_rated) continue;
+        pruner.Offer(row.score[p], static_cast<int64_t>(p), items_[p]);
       }
+      std::vector<TopKPruner::Entry> entries = pruner.DrainBestFirst();
       // Within a user, emit survivors in item-position order — the
       // unbounded emission order restricted to the surviving subset, so
       // the parent TopN's arrival tie-break sees an order-preserving
@@ -479,13 +158,6 @@ Status RecommendExecutor::ScoreUserTopK() {
                                    plan_.item_col_idx, plan_.rating_col_idx,
                                    users_[ui], e.item_id, e.score));
       }
-    }
-    if (engine) {
-      cand.fetch_add(engine->candidates_generated, std::memory_order_relaxed);
-      skipped.fetch_add(engine->blocks_skipped, std::memory_order_relaxed);
-      pruned.fetch_add(engine->items_pruned, std::memory_order_relaxed);
-      local_preds += engine->predictions;
-      local_batches += engine->batches;
     }
     preds.fetch_add(local_preds, std::memory_order_relaxed);
     batches.fetch_add(local_batches, std::memory_order_relaxed);
@@ -508,19 +180,6 @@ Status RecommendExecutor::ScoreUserTopK() {
   }
   ctx_->stats.predictions += preds.load(std::memory_order_relaxed);
   ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
-  if (!prune_active_) return Status::OK();
-  ctx_->stats.candidates_generated +=
-      cand.load(std::memory_order_relaxed);
-  ctx_->stats.blocks_skipped += skipped.load(std::memory_order_relaxed);
-  ctx_->stats.items_pruned += pruned.load(std::memory_order_relaxed);
-  obs::Count(obs::Counter::kPruneCandidatesGenerated,
-             cand.load(std::memory_order_relaxed));
-  obs::Count(obs::Counter::kPruneBlocksSkipped,
-             skipped.load(std::memory_order_relaxed));
-  obs::Count(obs::Counter::kPruneItemsPruned,
-             pruned.load(std::memory_order_relaxed));
-  obs::ObserveUs(obs::Histogram::kPruneGenUs,
-                 static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return Status::OK();
 }
 
@@ -629,24 +288,6 @@ Status JoinRecommendExecutor::Init() {
   for (int64_t id : plan_.user_ids) {
     if (snapshot.UserIndex(id).has_value()) valid_users_.push_back(id);
   }
-  // Candidate zero-fill (CF families): precompute each user's candidate
-  // bitmap once; probe items outside it provably score exactly 0.0.
-  prune_active_ = false;
-  user_candidates_.clear();
-  if (plan_.prune) {
-    cindex_ = plan_.rec->candidate_index();
-    if (cindex_ != nullptr && cindex_->prunable() &&
-        cindex_->bounds().candidate_generation) {
-      PruneEngine engine(plan_.rec->model(), snapshot, *cindex_,
-                         /*rank_by_id=*/false);
-      user_candidates_.resize(valid_users_.size());
-      for (size_t u = 0; u < valid_users_.size(); ++u) {
-        engine.CandidateBitmap(valid_users_[u], &user_candidates_[u]);
-      }
-      engine.FlushStats(&ctx_->stats);
-      prune_active_ = true;
-    }
-  }
   outer_done_ = false;
   window_.clear();
   window_slot_ = 0;
@@ -705,7 +346,6 @@ Status JoinRecommendExecutor::FillWindow() {
   std::vector<int64_t> cand;
   std::vector<size_t> cand_slot;
   std::vector<double> pred;
-  uint64_t zero_filled = 0;
   for (size_t u = 0; u < valid_users_.size(); ++u) {
     const int64_t user_id = valid_users_[u];
     cand.clear();
@@ -722,11 +362,6 @@ Status JoinRecommendExecutor::FillWindow() {
         } else {
           window_skip_[u * w + s] = 1;
         }
-      } else if (prune_active_ &&
-                 !IsWindowCandidate(u, snapshot, window_items_[s])) {
-        // Outside the candidate set: provably 0.0 — the score array's
-        // fill value — without a model call.
-        ++zero_filled;
       } else {
         cand.push_back(window_items_[s]);
         cand_slot.push_back(s);
@@ -741,21 +376,7 @@ Status JoinRecommendExecutor::FillWindow() {
     ctx_->stats.predictions += cand.size();
     ++ctx_->stats.predict_batches;
   }
-  if (zero_filled > 0) {
-    ctx_->stats.items_pruned += zero_filled;
-    obs::Count(obs::Counter::kPruneItemsPruned, zero_filled);
-  }
   return Status::OK();
-}
-
-bool JoinRecommendExecutor::IsWindowCandidate(size_t user_slot,
-                                              const RatingMatrix& snapshot,
-                                              int64_t item_id) const {
-  auto idx = snapshot.ItemIndex(item_id);
-  if (!idx.has_value()) return true;  // resolved by the model's own guards
-  const std::vector<uint8_t>& mark = user_candidates_[user_slot];
-  if (static_cast<size_t>(*idx) >= mark.size()) return true;
-  return mark[*idx] != 0;
 }
 
 Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
@@ -793,8 +414,6 @@ Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
 
 // ------------------------------------------------------- IndexRecommend
 
-IndexRecommendExecutor::~IndexRecommendExecutor() = default;
-
 Status IndexRecommendExecutor::Init() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
@@ -826,15 +445,6 @@ Status IndexRecommendExecutor::Init() {
   current_.clear();
   current_pos_ = 0;
   loaded_ = false;
-  // Threshold-pruned fallback: needs a per-user cap (the threshold's k)
-  // and the full catalog (an item pushdown already bounds the miss scan).
-  prune_active_ = false;
-  engine_.reset();
-  if (plan_.prune && plan_.per_user_limit > 0 &&
-      !plan_.item_ids.has_value()) {
-    cindex_ = plan_.rec->candidate_index();
-    prune_active_ = cindex_ != nullptr && cindex_->prunable();
-  }
   return Status::OK();
 }
 
@@ -868,24 +478,6 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
   obs::Count(obs::Counter::kRecIndexUserMisses);
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
-  if (prune_active_) {
-    // Threshold-pruned miss: exact top-per_user_limit under the fallback's
-    // (score desc, id asc) order with min_score as the pruner floor —
-    // identical to scoring the full catalog, filtering and capping.
-    if (engine_ == nullptr) {
-      obs::Count(obs::Counter::kPruneTopkQueries);
-      engine_ = std::make_unique<PruneEngine>(model, snapshot, *cindex_,
-                                              /*rank_by_id=*/true);
-    }
-    auto entries =
-        engine_->UserTopK(user_id, plan_.per_user_limit, plan_.min_score);
-    current_.reserve(entries.size());
-    for (const TopKPruner::Entry& e : entries) {
-      current_.emplace_back(e.item_id, e.score);
-    }
-    engine_->FlushStats(&ctx_->stats);
-    return Status::OK();
-  }
   const std::vector<int64_t>& items =
       item_filter_.has_value() ? item_list_ : snapshot.item_ids();
   std::vector<int64_t> cand;

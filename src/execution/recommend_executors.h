@@ -30,90 +30,6 @@ struct UserRowScores {
   uint64_t batches = 0;        // PredictBatch calls issued (0 or 1)
 };
 
-/// Per-executor engine for the sublinear Top-N paths (DESIGN.md §13):
-/// candidate generation over the CandidateIndex postings (union-merged with
-/// the delta overlay's side rows for rows touched since the freeze), the
-/// must-score partition for items whose static bound cannot be trusted,
-/// the WAND-style block sweep against a TopKPruner threshold, and the
-/// zero-score merge that restores the provably-0.0 tail in tie-break
-/// order. Scratch arrays are epoch-stamped and reused across users. Not
-/// thread-safe — parallel paths construct one engine per morsel.
-class PruneEngine {
- public:
-  /// rank_by_id chooses the tie-break domain: false = item position
-  /// (RecommendExecutor under a TopN), true = external item id (the
-  /// IndexRecommend fallback's sort order).
-  PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-              const CandidateIndex& index, bool rank_by_id);
-
-  /// One user's exact top-k over unseen items, best-first (score desc,
-  /// rank asc). Bit-identical to batch-scoring the full catalog and
-  /// keeping the k best under the same order. `floor` models the plan's
-  /// min_score (use -inf when absent).
-  std::vector<TopKPruner::Entry> UserTopK(int64_t user_id, size_t k,
-                                          double floor);
-
-  /// JoinRecommend zero-fill support: sets mark[i] = 1 for every item
-  /// index in the user's candidate superset; every unmarked item provably
-  /// scores exactly 0.0 for this user.
-  void CandidateBitmap(int64_t user_id, std::vector<uint8_t>* mark);
-
-  /// Add the accumulated counters into `stats` (may be null) and the
-  /// global prune.* metrics, then zero them.
-  void FlushStats(ExecStats* stats);
-
-  // Accumulated across calls until FlushStats (parallel morsels read these
-  // directly and fold them into atomics instead).
-  uint64_t candidates_generated = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t items_pruned = 0;
-  uint64_t predictions = 0;
-  uint64_t batches = 0;
-
- private:
-  /// Two-hop walk: start items = merged row of u (∪ base row, covering the
-  /// user-based families whose similarities are anchored to the base),
-  /// raters from the base postings, candidate items = base ∪ side rows of
-  /// each rater. Fills candidates_ (deduplicated via walk_stamp_).
-  void GenerateCandidates(int32_t u);
-  void ScoreBatch(int64_t user_id, const std::vector<int32_t>& items,
-                  TopKPruner* pruner);
-  /// Zero-merge modes: kAllUnrated offers every unrated item (all-zero
-  /// users), kSkipConsumed skips consume-stamped items (candidate
-  /// families), kSkipInBounds skips the bound table's domain (catalog-
-  /// sweep families, where every in-bounds item was scored or pruned).
-  enum class MergeMode { kAllUnrated, kSkipConsumed, kSkipInBounds };
-  void ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
-                 TopKPruner* pruner);
-  /// Float-safe upper bound for a block: the model's slack pads the
-  /// magnitude of every term, plus an absolute epsilon.
-  double PaddedBound(double scale_u, double offset_u, double max_scale,
-                     double max_offset) const;
-  bool Rated(int32_t u, int32_t item_idx) const;
-
-  const RecModel* model_;
-  const RatingMatrix& snapshot_;
-  const CandidateIndex& index_;
-  const bool rank_by_id_;
-  const size_t num_items_;  // catalog size captured at construction
-
-  std::vector<uint32_t> walk_stamp_;     // per item: candidate-walk dedup
-  std::vector<uint32_t> consume_stamp_;  // per item: scored/pruned/rated
-  std::vector<uint32_t> user_stamp_;     // per base user: rater dedup
-  uint32_t epoch_ = 0;
-  std::vector<int32_t> start_;
-  std::vector<int32_t> candidates_;
-  std::vector<int32_t> must_score_;
-  std::vector<std::vector<int32_t>> block_items_;
-  std::vector<int32_t> touched_blocks_;
-  std::vector<int64_t> batch_ids_;
-  std::vector<double> batch_pred_;
-  /// Items interned after the base the postings were lowered from, sorted
-  /// by external id — merged with index.order_by_id() for the id-ordered
-  /// zero-merge.
-  std::vector<std::pair<int64_t, int32_t>> oob_by_id_;
-};
-
 class RecommendExecutor : public Executor {
  public:
   RecommendExecutor(const RecommendPlan& plan, ExecContext* ctx)
@@ -131,17 +47,14 @@ class RecommendExecutor : public Executor {
   Status ScoreAllParallel();
   /// Per-user bound under a parent TopN (prune_limit > 0): each user's
   /// top-prune_limit by (score desc, item position asc), morsel-parallel
-  /// over users. Pruned mode enumerates candidates via PruneEngine; the
-  /// exact path scores the whole row and keeps the k best in a TopKPruner.
-  /// Survivors are emitted in item-position order — the unbounded emission
-  /// order restricted to the surviving subset, so the parent TopN's result
-  /// is bit-identical.
+  /// over users. Each user's whole row is scored and the k best kept in a
+  /// TopKPruner. Survivors are emitted in item-position order — the
+  /// unbounded emission order restricted to the surviving subset, so the
+  /// parent TopN's result is bit-identical.
   Status ScoreUserTopK();
 
   const RecommendPlan& plan_;
   ExecContext* ctx_;
-  bool prune_active_ = false;
-  std::shared_ptr<const CandidateIndex> cindex_;
   // Candidate id lists resolved at Init (filters applied).
   std::vector<int64_t> users_;
   std::vector<int64_t> items_;
@@ -170,21 +83,12 @@ class JoinRecommendExecutor : public Executor {
   /// PredictBatch per user over the window's valid unrated items, instead
   /// of one scalar Predict per (outer tuple, user) probe.
   Status FillWindow();
-  /// True when the item may score nonzero for valid_users_[user_slot]
-  /// (candidate-set membership; conservative for unresolvable items).
-  bool IsWindowCandidate(size_t user_slot, const RatingMatrix& snapshot,
-                         int64_t item_id) const;
 
   const JoinRecommendPlan& plan_;
   ExecutorPtr outer_;
   ExecContext* ctx_;
   // Pushed-down users known to the model, in plan order (resolved once).
   std::vector<int64_t> valid_users_;
-  // CF zero-fill: per valid user, candidate-item bitmap over item indices;
-  // window items outside it provably score 0.0 and skip the model.
-  bool prune_active_ = false;
-  std::shared_ptr<const CandidateIndex> cindex_;
-  std::vector<std::vector<uint8_t>> user_candidates_;
   bool outer_done_ = false;
   // Current probe window. Scores/skip flags are flattened [user][slot].
   std::vector<Tuple> window_;
@@ -201,7 +105,6 @@ class IndexRecommendExecutor : public Executor {
   IndexRecommendExecutor(const IndexRecommendPlan& plan, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), ctx_(ctx) {}
-  ~IndexRecommendExecutor() override;
   Status Init() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
@@ -222,11 +125,6 @@ class IndexRecommendExecutor : public Executor {
   std::vector<std::pair<int64_t, double>> current_;  // best-first
   size_t current_pos_ = 0;
   bool loaded_ = false;
-  // Threshold-pruned cache-miss fallback (external-id tie-break, floor =
-  // min_score); lazily constructed at the first miss.
-  bool prune_active_ = false;
-  std::shared_ptr<const CandidateIndex> cindex_;
-  std::unique_ptr<PruneEngine> engine_;
 };
 
 }  // namespace recdb

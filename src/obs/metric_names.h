@@ -138,21 +138,7 @@
   X(kIngestBatchOps, "ingest.batch_ops", "ops",                               \
     "rating mutations carried by batched statements (effective ops)")         \
   X(kIngestFullRebuilds, "ingest.full_rebuilds", "rebuilds",                  \
-    "refresh commits that retrained a model with no incremental form")        \
-  X(kPruneTopkQueries, "prune.topk_queries", "users",                         \
-    "per-user Top-N loops answered by the pruned (threshold) path")           \
-  X(kPruneCandidatesGenerated, "prune.candidates_generated", "items",         \
-    "candidate items produced by inverted-postings generation")               \
-  X(kPruneBlocksSkipped, "prune.blocks_skipped", "blocks",                    \
-    "bound-table blocks skipped because their bound could not beat k-th")     \
-  X(kPruneItemsPruned, "prune.items_pruned", "items",                         \
-    "items never scored thanks to block skips and early termination")         \
-  X(kPrunePlanChosen, "prune.plan_chosen", "plans",                           \
-    "cost-pass decisions that selected a pruned Top-N plan")                  \
-  X(kPrunePlanDeclined, "prune.plan_declined", "plans",                       \
-    "cost-pass decisions that kept the exact path despite eligibility")       \
-  X(kPruneIndexBuilds, "prune.index_builds", "builds",                        \
-    "CandidateIndex lowerings (initial build and re-freeze rebuilds)")
+    "refresh commits that retrained a model with no incremental form")
 
 #define RECDB_GAUGE_METRICS(X)                                                \
   X(kBufferPoolResidentPages, "bufferpool.resident_pages", "pages",           \
@@ -188,8 +174,4 @@
   X(kIngestRefreshUs, "ingest.refresh_us", "us",                              \
     "re-freeze preparation (merged CSR + model row updates) per cycle")       \
   X(kIngestSwapUs, "ingest.swap_us", "us",                                    \
-    "re-freeze commit/swap under the writer lock per cycle")                  \
-  X(kPruneIndexBuildUs, "prune.index_build_us", "us",                         \
-    "CandidateIndex postings lowering wall-clock per build")                  \
-  X(kPruneGenUs, "prune.gen_us", "us",                                        \
-    "candidate generation wall-clock per pruned Top-N user")
+    "re-freeze commit/swap under the writer lock per cycle")

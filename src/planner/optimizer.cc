@@ -520,7 +520,7 @@ Result<PlanNodePtr> Optimizer::CostPass(PlanNodePtr node) {
   RECDB_ASSIGN_OR_RETURN(node, ReconsiderItemPushdown(std::move(node)));
   RECDB_ASSIGN_OR_RETURN(node, ReconsiderJoinRecommend(std::move(node)));
   RECDB_ASSIGN_OR_RETURN(node, ReconsiderIndexRecommend(std::move(node)));
-  RECDB_ASSIGN_OR_RETURN(node, ReconsiderPrunedTopN(std::move(node)));
+  RECDB_ASSIGN_OR_RETURN(node, BoundRecommendPerUser(std::move(node)));
   OrderFilterConjuncts(node.get());
   return node;
 }
@@ -643,39 +643,7 @@ Result<PlanNodePtr> Optimizer::ReconsiderIndexRecommend(PlanNodePtr node) {
   return PlanNodePtr(std::move(rec));
 }
 
-Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
-  if (!options_.enable_pruned_topn) return node;
-  const CostParams& p = cost_env_.params;
-
-  // JoinRecommend: candidate bitmaps let FillWindow skip the model for
-  // provably-zero (outer row, user) pairs. Priced against the walk cost.
-  if (node->type == PlanNodeType::kJoinRecommend) {
-    auto* jr = static_cast<JoinRecommendPlan*>(node.get());
-    if (jr->prune || jr->children.empty()) return node;
-    if (!EstimatesGrounded(*jr->children[0])) return node;
-    auto index = jr->rec->candidate_index();
-    if (index == nullptr || !index->prunable()) return node;
-    RecStats rs = RecStats::From(*jr->rec);
-    if (rs.num_items <= 0) return node;
-    const CandidateIndex::Stats& st = index->stats();
-    double outer_rows = jr->children[0]->EstimateRows(cost_env_);
-    double users =
-        static_cast<double>(std::max<size_t>(1, jr->user_ids.size()));
-    double cand_frac = std::min(1.0, st.avg_candidates / rs.num_items);
-    double cost_exact = outer_rows * users * p.predict;
-    double cost_prune =
-        users * st.avg_gen_ops * p.scan_row +
-        outer_rows * users * (p.bound_check + cand_frac * p.predict);
-    if (cost_prune < cost_exact) {
-      jr->prune = true;
-      jr->est_rows = jr->est_cost = -1;
-      obs::Count(obs::Counter::kPrunePlanChosen);
-    } else {
-      obs::Count(obs::Counter::kPrunePlanDeclined);
-    }
-    return node;
-  }
-
+Result<PlanNodePtr> Optimizer::BoundRecommendPerUser(PlanNodePtr node) {
   if (node->type != PlanNodeType::kTopN) return node;
   auto* topn = static_cast<TopNPlan*>(node.get());
   if (topn->n == 0 || topn->keys.size() != 1 || !topn->keys[0].desc) {
@@ -684,66 +652,16 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   const BoundExpr& key = *topn->keys[0].expr;
   if (key.kind != BoundExprKind::kColumn) return node;
   PlanNode* child = topn->children[0].get();
-
-  // IndexRecommend: pruning only changes the index-miss fallback, so weigh
-  // it against exact fallback scoring for the uncovered user fraction.
-  if (child->type == PlanNodeType::kIndexRecommend) {
-    auto* ix = static_cast<IndexRecommendPlan*>(child);
-    if (ix->prune || key.column_idx != ix->rating_col_idx) return node;
-    if (ix->item_ids.has_value() || ix->per_user_limit == 0) return node;
-    auto index = ix->rec->candidate_index();
-    if (index == nullptr || !index->prunable()) return node;
-    RecStats rs = RecStats::From(*ix->rec);
-    double users =
-        static_cast<double>(std::max<size_t>(1, ix->user_ids.size()));
-    double misses = (1.0 - IndexCoverageFraction(*ix->rec, ix->user_ids)) *
-                    users;
-    if (misses <= 0) return node;  // fully covered: fallback never runs
-    double cost_exact = misses * rs.avg_unseen * p.predict;
-    double cost_prune = PrunedTopNCost(index->stats(), misses, p);
-    if (cost_prune < cost_exact) {
-      ix->prune = true;
-      ix->est_rows = ix->est_cost = -1;
-      obs::Count(obs::Counter::kPrunePlanChosen);
-    } else {
-      obs::Count(obs::Counter::kPrunePlanDeclined);
-    }
-    return node;
-  }
-
   if (child->type != PlanNodeType::kRecommend &&
       child->type != PlanNodeType::kFilterRecommend) {
     return node;
   }
   auto* rec = static_cast<RecommendPlan*>(child);
-  if (rec->prune || key.column_idx != rec->rating_col_idx) return node;
+  if (key.column_idx != rec->rating_col_idx) return node;
   // The parent keeps the n best rows by score with arrival order breaking
   // ties, and arrival order within one user is item position: no user can
-  // place more than n rows in the answer. Bound the exact path per user
-  // whatever the cost pass below decides.
+  // place more than n rows in the answer.
   rec->prune_limit = topn->n;
-  if (rec->include_rated || rec->item_ids.has_value()) return node;
-  // Only choose pruned mode once ANALYZE has run on the ratings table:
-  // without grounded statistics the mode must match the rule-only optimizer.
-  if (rec->table == nullptr || !rec->table->stats.has_value()) return node;
-  auto index = rec->rec->candidate_index();
-  if (index == nullptr || !index->prunable()) return node;
-
-  RecStats rs = RecStats::From(*rec->rec);
-  double users = rec->user_ids.has_value()
-                     ? static_cast<double>(rec->user_ids->size())
-                     : rs.num_users;
-  users = std::max(1.0, users);
-  double cost_exact = users * rs.avg_unseen * (p.predict + p.topn_entry);
-  double cost_prune = PrunedTopNCost(index->stats(), users, p);
-  if (cost_prune < cost_exact) {
-    rec->prune = true;
-    rec->est_rows = rec->est_cost = -1;
-    topn->est_rows = topn->est_cost = -1;
-    obs::Count(obs::Counter::kPrunePlanChosen);
-  } else {
-    obs::Count(obs::Counter::kPrunePlanDeclined);
-  }
   return node;
 }
 

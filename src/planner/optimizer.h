@@ -51,11 +51,10 @@ class Optimizer {
   Result<PlanNodePtr> ReconsiderItemPushdown(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderJoinRecommend(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderIndexRecommend(PlanNodePtr node);
-  /// Sublinear Top-N: flip (Filter)Recommend / IndexRecommend under a
-  /// score-ordered TopN into pruned candidate-walk mode — and JoinRecommend
-  /// into candidate-bitmap mode — when ANALYZE-grounded CandidateIndex
-  /// statistics say the walk beats the exhaustive scan. Results unchanged.
-  Result<PlanNodePtr> ReconsiderPrunedTopN(PlanNodePtr node);
+  /// Per-user bound (DESIGN.md §13): under a TopN ordered by the score
+  /// descending, a (Filter)Recommend child emits only each user's top-n
+  /// rows. Results unchanged.
+  Result<PlanNodePtr> BoundRecommendPerUser(PlanNodePtr node);
   /// Reorder a Filter's conjuncts by ascending estimated selectivity so the
   /// most selective (cheapest to fail) predicates run first.
   void OrderFilterConjuncts(PlanNode* node);

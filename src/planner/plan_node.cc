@@ -76,22 +76,15 @@ std::string RecommendPlan::Describe() const {
   if (type == PlanNodeType::kFilterRecommend) {
     out += " users=" + IdList(user_ids) + " items=" + IdList(item_ids);
   }
-  if (prune) {
-    out += StringFormat(" mode=pruned(k=%zu) candidates=inverted",
-                        prune_limit);
-  } else if (prune_limit > 0) {
-    out += StringFormat(" topk=%zu", prune_limit);
-  }
+  if (prune_limit > 0) out += StringFormat(" topk=%zu", prune_limit);
   return out;
 }
 
 std::string JoinRecommendPlan::Describe() const {
-  std::string out = StringFormat("JoinRecommend %s using %s users=%s",
-                                 rec->name().c_str(),
-                                 RecAlgorithmToString(rec->algorithm()),
-                                 IdList(user_ids).c_str());
-  if (prune) out += " mode=pruned candidates=inverted";
-  return out;
+  return StringFormat("JoinRecommend %s using %s users=%s",
+                      rec->name().c_str(),
+                      RecAlgorithmToString(rec->algorithm()),
+                      IdList(user_ids).c_str());
 }
 
 std::string IndexRecommendPlan::Describe() const {
@@ -101,7 +94,6 @@ std::string IndexRecommendPlan::Describe() const {
   if (per_user_limit > 0) {
     out += " top " + std::to_string(per_user_limit);
   }
-  if (prune) out += " fallback=pruned";
   return out;
 }
 

@@ -117,11 +117,6 @@ struct RecommendPlan : PlanNode {
   /// desc, item position asc). 0 = unbounded. The parent's answer is
   /// bit-identical either way.
   size_t prune_limit = 0;
-  /// Sublinear Top-N mode (set by the optimizer's cost pass when per-user
-  /// pruning is profitable): enumerate each user's top-`prune_limit`
-  /// unseen items through the CandidateIndex postings and bound blocks
-  /// instead of scoring the full catalog.
-  bool prune = false;
   std::string Describe() const override;
 };
 
@@ -138,9 +133,6 @@ struct JoinRecommendPlan : PlanNode {
   bool include_rated = false;
   std::vector<int64_t> user_ids;   // querying users (non-empty)
   size_t outer_item_col = 0;       // item-id column in the outer schema
-  /// Candidate-set zero-fill (CF families): probe-window items outside a
-  /// user's candidate set are provably scored 0.0 and skip the model call.
-  bool prune = false;
   std::string Describe() const override;
 };
 
@@ -160,9 +152,6 @@ struct IndexRecommendPlan : PlanNode {
   /// Per-user emission cap (the ORDER BY score DESC LIMIT k rewrite);
   /// 0 = unlimited.
   size_t per_user_limit = 0;
-  /// Threshold-prune the model fallback on cache misses (requires
-  /// per_user_limit > 0 and no item pushdown).
-  bool prune = false;
   std::string Describe() const override;
 };
 

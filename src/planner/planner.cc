@@ -9,12 +9,11 @@ std::string PlannerOptionsSummary(const PlannerOptions& options) {
   auto onoff = [](bool b) { return b ? "on" : "off"; };
   return StringFormat(
       "options: filter_recommend=%s join_recommend=%s index_recommend=%s "
-      "hash_join=%s cost_based=%s pruned_topn=%s parallelism=%zu",
+      "hash_join=%s cost_based=%s parallelism=%zu",
       onoff(options.enable_filter_recommend),
       onoff(options.enable_join_recommend),
       onoff(options.enable_index_recommend), onoff(options.enable_hash_join),
-      onoff(options.enable_cost_based), onoff(options.enable_pruned_topn),
-      TaskScheduler::Global().num_threads());
+      onoff(options.enable_cost_based), TaskScheduler::Global().num_threads());
 }
 
 namespace {

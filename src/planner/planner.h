@@ -32,11 +32,6 @@ struct PlannerOptions {
   /// order filter conjuncts by selectivity, and annotate EXPLAIN with
   /// est_rows/est_cost. Off = rule-only planning (pre-cost behaviour).
   bool enable_cost_based = true;
-  /// Sublinear Top-N: let the cost pass turn TopN-over-Recommend into a
-  /// pruned per-user Top-K (CandidateIndex postings + WAND-style block
-  /// bounds) when ANALYZE-grounded estimates favor it. Result sets are
-  /// bit-identical to the exact plan; off = always score the full catalog.
-  bool enable_pruned_topn = true;
 };
 
 /// One-line summary of the active options for the EXPLAIN header, e.g.

@@ -313,34 +313,6 @@ void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
   InstallNeighborRows(&neighbors_, std::move(update));
 }
 
-bool ItemCFModel::ComputePruneBounds(PruneBoundTable* out) const {
-  out->item_scale.resize(neighbors_.size());
-  for (size_t i = 0; i < neighbors_.size(); ++i) {
-    out->item_scale[i] = neighbors_[i].empty() ? 0.0 : 1.0;
-  }
-  out->item_offset.clear();
-  // The Eq. (2) ratio is exact in the reals; double rounding can nudge it
-  // past max |r| by O(n·eps) relative, far below this padding.
-  out->slack = 1e-9;
-  out->candidate_generation = true;
-  out->rating_dependent = false;
-  // idx >= neighbors_ size has no neighborhood row: the kernel returns
-  // exactly 0 for it.
-  out->oob_must_score = false;
-  return true;
-}
-
-double ItemCFModel::PruneUserScale(int32_t user_idx) const {
-  // Live merge view: a delta op that raises the user's max rating raises
-  // the bound with it.
-  const CsrRow row = ratings_->UserCsrRow(user_idx);
-  double max_abs = 0;
-  for (size_t k = 0; k < row.n; ++k) {
-    max_abs = std::max(max_abs, std::fabs(row.rating[k]));
-  }
-  return max_abs;
-}
-
 UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
                          bool centered, const SimilarityOptions& opts,
                          std::vector<std::vector<Neighbor>> neighborhoods)
@@ -383,9 +355,6 @@ void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
   for (const auto& nb : neighbors) {
     scratch.Set(nb.idx, static_cast<double>(nb.sim));
   }
-  // As in ItemCF, an unfrozen matrix routes through the mutable rows; the
-  // per-candidate accumulation order (user-idx ascending) is identical.
-  const bool frozen = ratings_->frozen();
   for (size_t c = 0; c < items.size(); ++c) {
     auto i = ratings_->ItemIndex(items[c]);
     if (!i) {
@@ -393,21 +362,12 @@ void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
       continue;
     }
     double num = 0, den = 0;
-    auto accumulate = [&](int32_t rater_idx, double rating) {
+    const CsrRow raters = ratings_->ItemCsrRow(*i);
+    for (size_t k = 0; k < raters.n; ++k) {
       double sim;
-      if (!scratch.Get(rater_idx, &sim)) return;
-      num += sim * rating;
+      if (!scratch.Get(raters.idx[k], &sim)) continue;
+      num += sim * raters.rating[k];
       den += std::fabs(sim);
-    };
-    if (frozen) {
-      const CsrRow raters = ratings_->ItemCsrRow(*i);
-      for (size_t k = 0; k < raters.n; ++k) {
-        accumulate(raters.idx[k], raters.rating[k]);
-      }
-    } else {
-      for (const auto& e : ratings_->ItemVector(*i)) {
-        accumulate(e.idx, e.rating);
-      }
     }
     out[c] = den == 0 ? 0 : num / den;
   }
@@ -444,36 +404,6 @@ Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
 
 void UserCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
   InstallNeighborRows(&neighbors_, std::move(update));
-}
-
-bool UserCFModel::ComputePruneBounds(PruneBoundTable* out) const {
-  // Computed at (re)build time, when base == merged (no delta yet); the
-  // rating_dependent flag makes later delta-touched item rows re-score.
-  const size_t n = ratings_->NumItems();
-  out->item_scale.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const CsrRow row = ratings_->ItemCsrRow(static_cast<int32_t>(i));
-    double max_abs = 0;
-    for (size_t k = 0; k < row.n; ++k) {
-      max_abs = std::max(max_abs, std::fabs(row.rating[k]));
-    }
-    out->item_scale[i] = max_abs;
-  }
-  out->item_offset.clear();
-  out->slack = 1e-9;
-  out->candidate_generation = true;
-  out->rating_dependent = true;
-  // An item interned after the table was built still scores through its
-  // (delta-only) rater row: no bound exists, score it unconditionally.
-  out->oob_must_score = true;
-  return true;
-}
-
-double UserCFModel::PruneUserScale(int32_t user_idx) const {
-  if (user_idx < 0 || static_cast<size_t>(user_idx) >= neighbors_.size()) {
-    return 0.0;  // kernel zero-fills users interned after the build
-  }
-  return neighbors_[user_idx].empty() ? 0.0 : 1.0;
 }
 
 }  // namespace recdb

@@ -63,13 +63,6 @@ class ItemCFModel : public RecModel {
       const std::vector<DeltaOp>& ops) const override;
   void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
-  /// Eq. (2) is a |sim|-weighted average of the user's own ratings, so
-  /// score(u, i) <= max |r_uj| over u's (merged) row, and an item with an
-  /// empty neighborhood scores exactly 0: item_scale is {0, 1}, the user
-  /// scale is the live row maximum (DESIGN.md §13).
-  bool ComputePruneBounds(PruneBoundTable* out) const override;
-  double PruneUserScale(int32_t user_idx) const override;
-
  private:
   ItemCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
               const SimilarityOptions& opts,
@@ -110,14 +103,6 @@ class UserCFModel : public RecModel {
   Result<ModelUpdate> PrepareDeltaUpdate(
       const std::vector<DeltaOp>& ops) const override;
   void ApplyDeltaUpdate(ModelUpdate&& update) override;
-
-  /// Mirror of the ItemCF bound with the sides swapped: the score is a
-  /// |sim|-weighted average of the *item's rater* ratings, so item_scale is
-  /// max |r_vi| over the item's rater row (rating-dependent: delta-touched
-  /// item rows must be re-scored) and the user scale is {0, 1} for an
-  /// empty/nonempty neighborhood.
-  bool ComputePruneBounds(PruneBoundTable* out) const override;
-  double PruneUserScale(int32_t user_idx) const override;
 
  private:
   UserCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,

@@ -3,9 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -47,38 +45,6 @@ struct ModelUpdate {
     return rows.empty() && user_rows.empty() && item_rows.empty() &&
            !full_rebuild;
   }
-};
-
-/// Static per-item upper-bound tables for WAND-style Top-N pruning
-/// (DESIGN.md §13). For every item index i < item_scale.size() the model
-/// guarantees
-///
-///   score(u, i) <= PruneUserScale(u) * item_scale[i]
-///                  + PruneUserOffset(u) + item_offset[i]
-///
-/// against the matrix state the table was computed from (delta-touched rows
-/// are handled by the flags below). Families that cannot bound their scores
-/// simply do not produce a table and are never pruned.
-struct PruneBoundTable {
-  std::vector<double> item_scale;
-  /// Additive per-item term (e.g. SVD item bias); empty means all zero.
-  std::vector<double> item_offset;
-  /// Relative padding applied to bounds before a skip decision, covering
-  /// float rounding in the scoring kernels (the bound math is double, the
-  /// kernels accumulate in float lanes for SVD).
-  double slack = 0.0;
-  /// CF: a score can be nonzero only for items sharing a co-rated item with
-  /// the query user (as of model build) — candidate generation through the
-  /// CandidateIndex postings is exact, every non-candidate scores 0.0.
-  bool candidate_generation = false;
-  /// item_scale derives from the rating matrix (UserCF: max |r| of the
-  /// item's rater row). Delta-touched item rows invalidate their entry and
-  /// must be scored unconditionally until the next re-freeze.
-  bool rating_dependent = false;
-  /// Item index >= table size (interned after the table was built): true
-  /// means the kernel may emit a nonzero score (score unconditionally);
-  /// false means the kernel provably returns exactly 0.0 for it.
-  bool oob_must_score = false;
 };
 
 class RecModel {
@@ -142,34 +108,6 @@ class RecModel {
   /// Install rows prepared by PrepareDeltaUpdate. Must run under the writer
   /// lock (mutates model state readers consult).
   virtual void ApplyDeltaUpdate(ModelUpdate&& update) { (void)update; }
-
-  /// Top-N pruning support (DESIGN.md §13): fill `out` with the per-item
-  /// upper-bound table and return true, or return false when this family
-  /// cannot bound its scores (pruning is then never planned).
-  virtual bool ComputePruneBounds(PruneBoundTable* out) const {
-    (void)out;
-    return false;
-  }
-
-  /// Per-user multiplicative / additive bound terms (see PruneBoundTable).
-  /// Evaluated live at query time against the merge view, so user-side
-  /// delta (e.g. a new highest rating) is always reflected.
-  virtual double PruneUserScale(int32_t user_idx) const {
-    (void)user_idx;
-    return std::numeric_limits<double>::infinity();
-  }
-  virtual double PruneUserOffset(int32_t user_idx) const {
-    (void)user_idx;
-    return 0.0;
-  }
-
-  /// True when every score this model can emit for the user is exactly 0.0
-  /// (e.g. an SVD user with no factor row): the pruned path then skips all
-  /// scoring and fills the Top-N from unrated items in tie-break order.
-  virtual bool PruneUserAllZero(int32_t user_idx) const {
-    (void)user_idx;
-    return false;
-  }
 
   /// The snapshot the model was built from.
   const RatingMatrix& ratings() const { return *ratings_; }

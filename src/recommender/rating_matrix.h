@@ -184,25 +184,6 @@ class RatingMatrix {
   /// if the matrix is still at V (optimistic two-phase refresh).
   uint64_t version() const { return version_; }
 
-  /// True when the row has an overlay side row (was touched by delta ops
-  /// since the last freeze) — candidate generation and bound pruning use
-  /// this to route delta-touched rows through the merge view.
-  bool IsUserRowTouched(int32_t user_idx) const {
-    return overlay_active_ && user_side_.count(user_idx) > 0;
-  }
-  bool IsItemRowTouched(int32_t item_idx) const {
-    return overlay_active_ && item_side_.count(item_idx) > 0;
-  }
-
-  /// Row counts of the frozen base (what the CSR arrays cover); the overlay
-  /// may know more users/items than the base.
-  size_t base_num_users() const {
-    return user_csr_.offsets.empty() ? 0 : user_csr_.offsets.size() - 1;
-  }
-  size_t base_num_items() const {
-    return item_csr_.offsets.empty() ? 0 : item_csr_.offsets.size() - 1;
-  }
-
   /// A re-freeze candidate: both orientations rebuilt from the merged rows,
   /// stamped with the matrix version it was built from. Const — safe to run
   /// under a shared lock while readers score through the overlay.
@@ -265,30 +246,6 @@ class RatingMatrix {
     return {item_csr_.idx.data() + b, item_csr_.rating.data() + b,
             static_cast<size_t>(item_csr_.offsets[item_idx + 1] - b)};
   }
-
-  /// Base-only row views (no overlay resolution) — incremental maintenance
-  /// and tests compare base vs merged state through these.
-  CsrRow BaseUserCsrRow(int32_t user_idx) const {
-    if (!frozen_ || user_idx < 0 ||
-        static_cast<size_t>(user_idx) + 1 >= user_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = user_csr_.offsets[user_idx];
-    return {user_csr_.idx.data() + b, user_csr_.rating.data() + b,
-            static_cast<size_t>(user_csr_.offsets[user_idx + 1] - b)};
-  }
-  CsrRow BaseItemCsrRow(int32_t item_idx) const {
-    if (!frozen_ || item_idx < 0 ||
-        static_cast<size_t>(item_idx) + 1 >= item_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = item_csr_.offsets[item_idx];
-    return {item_csr_.idx.data() + b, item_csr_.rating.data() + b,
-            static_cast<size_t>(item_csr_.offsets[item_idx + 1] - b)};
-  }
-
-  const FlatCsr& user_csr() const { return user_csr_; }
-  const FlatCsr& item_csr() const { return item_csr_; }
 
   /// Footprint of the frozen CSR arrays plus the delta overlay (0 when not
   /// frozen) — model ApproxBytes implementations add this so memory

@@ -144,7 +144,6 @@ Result<double> Recommender::Build() {
     return Status::Internal("model construction failed for " + config_.name);
   }
   model_ = std::move(model);
-  candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   base_size_ = matrix_->NumRatings();
   pending_updates_ = 0;
   if (delta_cleared > 0) {
@@ -166,10 +165,6 @@ Result<Recommender::RefreshPlan> Recommender::PrepareRefresh() const {
   auto update = model_->PrepareDeltaUpdate(matrix_->delta_ops());
   RECDB_RETURN_NOT_OK(update.status());
   plan.update = std::move(update).value();
-  // Lower the candidate postings from the future base off-lock; bounds are
-  // model-dependent and get finalized at commit, after ApplyDeltaUpdate.
-  plan.candidate_index = CandidateIndex::Lower(
-      plan.csr.user, plan.csr.item, matrix_->item_ids(), plan.csr.version);
   plan.valid = true;
   obs::ObserveUs(obs::Histogram::kIngestRefreshUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
@@ -203,7 +198,6 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
     if (rebuilt != nullptr) model_ = std::move(rebuilt);
     obs::Count(obs::Counter::kIngestFullRebuilds);
     obs::Count(obs::Counter::kModelBuilds);
-    candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   } else {
     for (int64_t user : plan.update.stale_users) {
       auto erased = score_index_.EraseUserCollect(user);
@@ -214,10 +208,6 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
       pairs.insert(pairs.end(), erased.begin(), erased.end());
     }
     model_->ApplyDeltaUpdate(std::move(plan.update));
-    // Publish the pre-lowered postings with bounds computed against the
-    // just-patched model — the new (base, model, index) triple is coherent.
-    plan.candidate_index->FinalizeBounds(*model_);
-    candidate_index_ = std::move(plan.candidate_index);
   }
   base_size_ = matrix_->NumRatings();
   pending_updates_ = 0;

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "index/candidate_index.h"
 #include "index/rec_score_index.h"
 #include "recommender/cf_model.h"
 #include "recommender/svd_model.h"
@@ -128,9 +127,6 @@ class Recommender {
   struct RefreshPlan {
     RatingMatrix::MergedCsr csr;
     ModelUpdate update;
-    /// Postings lowered off-lock from `csr` (the future base); bounds are
-    /// finalized at commit time, after the model rows are patched.
-    std::shared_ptr<CandidateIndex> candidate_index;
     size_t ops = 0;
     bool valid = false;
   };
@@ -176,20 +172,12 @@ class Recommender {
 
   /// Test seam: install a model that did not come from Build() (e.g. a
   /// stub without incremental support). Resets maintenance pressure as a
-  /// real build would and rebuilds the candidate index against it.
+  /// real build would.
   void AdoptModelForTest(std::unique_ptr<RecModel> model) {
     matrix_->Freeze();
     model_ = std::move(model);
     base_size_ = matrix_->NumRatings();
     pending_updates_ = 0;
-    candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
-  }
-
-  /// Sublinear Top-N support (postings + bound blocks), rebuilt with the
-  /// base at Build()/CommitRefresh; null before the first Build(). Shared
-  /// so in-flight executors keep a coherent snapshot across a re-freeze.
-  std::shared_ptr<const CandidateIndex> candidate_index() const {
-    return candidate_index_;
   }
 
   /// The matrix scoring reads (frozen base + overlay merge view). The
@@ -228,7 +216,6 @@ class Recommender {
   RecommenderConfig config_;
   std::shared_ptr<RatingMatrix> matrix_;
   std::unique_ptr<RecModel> model_;
-  std::shared_ptr<const CandidateIndex> candidate_index_;
   size_t base_size_ = 0;
   size_t pending_updates_ = 0;
   std::atomic<bool> refresh_scheduled_{false};

@@ -300,60 +300,6 @@ void SvdModel::ApplyDeltaUpdate(ModelUpdate&& update) {
   obs::Count(obs::Counter::kIngestSvdFoldIns, folded);
 }
 
-bool SvdModel::ComputePruneBounds(PruneBoundTable* out) const {
-  const int32_t f = opts_.num_factors;
-  const size_t ni = NumItemRows();
-  out->item_scale.resize(ni);
-  for (size_t i = 0; i < ni; ++i) {
-    const float* qi = item_factors_.data() + i * static_cast<size_t>(f);
-    double sq = 0;
-    for (int32_t k = 0; k < f; ++k) {
-      sq += static_cast<double>(qi[k]) * qi[k];
-    }
-    out->item_scale[i] = std::sqrt(sq);
-  }
-  out->item_offset.clear();
-  if (opts_.use_biases) {
-    out->item_offset.assign(item_bias_.begin(), item_bias_.begin() + ni);
-  }
-  // DotRows accumulates in float lanes; its result can exceed the
-  // real-valued ‖p‖‖q‖ bound by O(f·eps_float) relative.
-  out->slack = 1e-5;
-  out->candidate_generation = false;
-  out->rating_dependent = false;
-  // Items without a factor row score exactly 0 until folded in.
-  out->oob_must_score = false;
-  return true;
-}
-
-double SvdModel::PruneUserScale(int32_t user_idx) const {
-  if (user_idx < 0 || static_cast<size_t>(user_idx) >= NumUserRows()) {
-    return 0.0;
-  }
-  const int32_t f = opts_.num_factors;
-  const float* pu =
-      user_factors_.data() + static_cast<size_t>(user_idx) * f;
-  double sq = 0;
-  for (int32_t k = 0; k < f; ++k) {
-    sq += static_cast<double>(pu[k]) * pu[k];
-  }
-  return std::sqrt(sq);
-}
-
-double SvdModel::PruneUserOffset(int32_t user_idx) const {
-  if (!opts_.use_biases || user_idx < 0 ||
-      static_cast<size_t>(user_idx) >= NumUserRows()) {
-    return 0.0;
-  }
-  return global_mean_ + static_cast<double>(user_bias_[user_idx]);
-}
-
-bool SvdModel::PruneUserAllZero(int32_t user_idx) const {
-  // A user without a factor row is zero-filled by the kernel regardless of
-  // biases, so the generic scale==0 inference would be wrong with biases on.
-  return user_idx < 0 || static_cast<size_t>(user_idx) >= NumUserRows();
-}
-
 size_t SvdModel::ApproxBytes() const {
   return (user_factors_.capacity() + item_factors_.capacity()) *
              sizeof(float) +

@@ -84,14 +84,6 @@ class SvdModel : public RecModel {
       const std::vector<DeltaOp>& ops) const override;
   void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
-  /// Cauchy–Schwarz bound: |p_u·q_i| <= ‖p_u‖·‖q_i‖, plus the exact bias
-  /// offsets when use_biases (DESIGN.md §13). The slack covers the float
-  /// lane accumulation in DotRows exceeding the real-valued bound.
-  bool ComputePruneBounds(PruneBoundTable* out) const override;
-  double PruneUserScale(int32_t user_idx) const override;
-  double PruneUserOffset(int32_t user_idx) const override;
-  bool PruneUserAllZero(int32_t user_idx) const override;
-
  private:
   SvdModel(std::shared_ptr<const RatingMatrix> ratings, SvdOptions opts)
       : RecModel(std::move(ratings)), opts_(opts) {}

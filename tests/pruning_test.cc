@@ -1,11 +1,12 @@
-// Sublinear Top-N (PR 9): TopKPruner unit contract, golden equivalence of
-// the pruned path against the exact scan, CandidateIndex coherence across
-// the freeze -> ingest -> refresh lifecycle, the batched-ingest DML path,
-// and the cost model's choose/decline behaviour.
+// Per-user bounded Top-K: the TopKPruner unit contract, the exact
+// Recommend path's per-user bound under a score-ordered TopN (DESIGN.md
+// §13), the batched-ingest DML path, and the non-incremental maintenance
+// fallback.
 //
-// The load-bearing invariant: a pruned Top-N query returns the *identical*
-// result set — same rows, same scores (EXPECT_EQ on the rendered values,
-// no tolerance), same tie-break order — as the exhaustive exact plan, for
+// The load-bearing invariant: a bounded `ORDER BY score DESC LIMIT k`
+// statement returns the *identical* result set — same rows, same scores
+// (EXPECT_EQ on the rendered values, no tolerance), same tie-break order —
+// as the first k rows of the unbounded statement stable-sorted by score, for
 // every algorithm family, any parallelism level, and with or without a
 // pending delta overlay.
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "api/recdb.h"
 #include "common/task_scheduler.h"
 #include "execution/topk_pruner.h"
-#include "index/candidate_index.h"
 #include "obs/metrics.h"
 #include "recommender/model.h"
 #include "recommender/rating_matrix.h"
@@ -59,42 +59,15 @@ TEST(TopKPrunerTest, DrainsBestFirstWithArrivalOrderTieBreak) {
   EXPECT_EQ(out[2].item_id, 109);  // 4.0
 }
 
-TEST(TopKPrunerTest, CanSkipOnlyWhenFullAndStrictlyBelowThreshold) {
-  TopKPruner pruner(2);
-  EXPECT_FALSE(pruner.CanSkip(-1e30));  // heap not full: nothing skippable
-  pruner.Offer(3.0, 0, 1);
-  EXPECT_FALSE(pruner.CanSkip(0.0));
-  pruner.Offer(1.0, 1, 2);  // full; threshold = 1.0
-  EXPECT_EQ(pruner.Threshold(), 1.0);
-  EXPECT_TRUE(pruner.CanSkip(0.5));
-  // A bound exactly at the threshold could still displace the worst entry
-  // on tie-break (earlier rank wins), so equality must NOT skip.
-  EXPECT_FALSE(pruner.CanSkip(1.0));
-  EXPECT_FALSE(pruner.CanSkip(2.0));
-}
+// ------------------------------------------------ exact-path per-user bound
 
-TEST(TopKPrunerTest, FloorRejectsBelowMinScoreAndWouldAcceptIsMonotone) {
-  TopKPruner pruner(8, /*floor=*/2.0);
-  EXPECT_FALSE(pruner.WouldAccept(1.9, 0));
-  EXPECT_TRUE(pruner.CanSkip(1.9));  // below the floor even when not full
-  EXPECT_TRUE(pruner.WouldAccept(2.0, 0));
-  pruner.Offer(1.0, 0, 1);  // silently rejected by the floor
-  EXPECT_EQ(pruner.DrainBestFirst().size(), 0u);
-
-  TopKPruner small(2);
-  small.Offer(0.0, 10, 1);
-  small.Offer(0.0, 11, 2);
-  // Full of rank-10/11 zeros: a later-rank zero loses every tie-break, so
-  // the zero-merge loop may stop at the first WouldAccept == false.
-  EXPECT_FALSE(small.WouldAccept(0.0, 12));
-  EXPECT_TRUE(small.WouldAccept(0.0, 5));
-}
-
-// --------------------------------------------------------- golden equivalence
+// Under a TopN ordered by the score, the exact Recommend path keeps only
+// each user's k best rows (score desc, item position asc). Oracle: the same
+// statement with neither ORDER BY nor LIMIT — the unbounded arrival order —
+// stable-sorted by score, first k rows.
 
 // Sparse deterministic workload: 60 users x 200 items, 8 ratings per user
-// (4% density). Sparse enough that the candidate walk reaches well under
-// the full catalog, so the grounded cost model picks the pruned plan.
+// (4% density).
 void LoadSparseRatings(RecDB* db) {
   ASSERT_TRUE(
       db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
@@ -125,7 +98,7 @@ std::string RowsToString(const ResultSet& rs) {
 constexpr const char* kAlgoNames[] = {"ItemCosCF", "ItemPearCF", "UserCosCF",
                                       "UserPearCF", "SVD"};
 
-// The delta scenarios the walk must stay coherent with: new pair,
+// The delta scenarios the bound must stay exact under: new pair,
 // overwrite, remove, new user rating known items, new item rated by known
 // users — issued as SQL statements so they travel the batched DML path.
 void ApplyDeltaStatements(RecDB* db) {
@@ -139,114 +112,6 @@ void ApplyDeltaStatements(RecDB* db) {
                           "WHERE uid = 3 AND iid = 111")
                   .ok());
 }
-
-TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
-  ParallelismGuard guard;
-  for (const char* algo : kAlgoNames) {
-    RecDB db;
-    LoadSparseRatings(&db);
-    ASSERT_TRUE(db.Execute(std::string("CREATE RECOMMENDER r ON Ratings "
-                                       "USERS FROM uid ITEMS FROM iid "
-                                       "RATINGS FROM ratingval USING ") +
-                           algo)
-                    .ok());
-    ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-    const std::string query =
-        std::string("SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-                    "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
-        algo + " ORDER BY R.ratingval DESC LIMIT 25";
-
-    for (bool with_delta : {false, true}) {
-      if (with_delta) ApplyDeltaStatements(&db);
-      db.mutable_planner_options()->enable_pruned_topn = false;
-      ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
-      auto exact = db.Execute(query);
-      ASSERT_TRUE(exact.ok()) << algo;
-      ASSERT_EQ(exact.value().NumRows(), 25u) << algo;
-      EXPECT_EQ(exact.value().stats.candidates_generated, 0u) << algo;
-      const std::string expected = RowsToString(exact.value());
-
-      db.mutable_planner_options()->enable_pruned_topn = true;
-      auto explained = db.Explain(query);
-      ASSERT_TRUE(explained.ok()) << algo;
-      EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
-          << algo << ": cost model did not choose pruning\n"
-          << explained.value();
-      const bool generates = std::string(algo) != "SVD";
-      for (int threads : {1, 2, 8}) {
-        ASSERT_TRUE(
-            db.Execute("SET parallelism = " + std::to_string(threads)).ok());
-        uint64_t topk_before = CounterValue(obs::Counter::kPruneTopkQueries);
-        auto pruned = db.Execute(query);
-        ASSERT_TRUE(pruned.ok()) << algo;
-        EXPECT_EQ(RowsToString(pruned.value()), expected)
-            << algo << " diverged at parallelism " << threads
-            << (with_delta ? " with delta" : " without delta");
-        // The plan must actually have run pruned, not silently fallen back
-        // to the exact scan: every user goes through a threshold loop, and
-        // the CF families walk generated candidates. (The SVD catalog
-        // sweep may legitimately skip nothing when its norm-product bounds
-        // never drop below the k-th score on tiny data.)
-        EXPECT_GT(CounterValue(obs::Counter::kPruneTopkQueries), topk_before)
-            << algo;
-        if (generates) {
-          EXPECT_GT(pruned.value().stats.candidates_generated, 0u) << algo;
-        }
-      }
-      ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
-    }
-
-    // Merge the overlay into a fresh base (rebuilds the CandidateIndex) and
-    // re-check: post-refresh pruned results must equal post-refresh exact.
-    auto refreshed = db.RefreshRecommender("r");
-    ASSERT_TRUE(refreshed.ok()) << algo;
-    EXPECT_TRUE(refreshed.value()) << algo;
-    db.mutable_planner_options()->enable_pruned_topn = false;
-    auto exact = db.Execute(query);
-    ASSERT_TRUE(exact.ok()) << algo;
-    db.mutable_planner_options()->enable_pruned_topn = true;
-    auto pruned = db.Execute(query);
-    ASSERT_TRUE(pruned.ok()) << algo;
-    EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()))
-        << algo << " diverged after CommitRefresh";
-  }
-}
-
-TEST(PrunedEquivalenceTest, PerUserFilterRecommendMatchesExact) {
-  ParallelismGuard guard;
-  RecDB db;
-  LoadSparseRatings(&db);
-  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
-                         "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
-                  .ok());
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  const std::string query =
-      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "WHERE R.uid IN (1, 7, 13, 42, 60) "
-      "ORDER BY R.ratingval DESC LIMIT 10";
-  db.mutable_planner_options()->enable_pruned_topn = false;
-  auto exact = db.Execute(query);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(exact.value().NumRows(), 10u);
-  db.mutable_planner_options()->enable_pruned_topn = true;
-  auto pruned = db.Execute(query);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
-  EXPECT_GT(pruned.value().stats.candidates_generated, 0u);
-  // Pruning scores at most the candidate set; the exact plan scores every
-  // unseen item. Fewer predictions is the whole point.
-  EXPECT_LT(pruned.value().stats.predictions, exact.value().stats.predictions);
-}
-
-// ------------------------------------------------ exact-path per-user bound
-
-// Under a TopN ordered by the score, the exact Recommend path keeps only
-// each user's k best rows (score desc, item position asc). Oracle: the same
-// statement with neither ORDER BY nor LIMIT — the unbounded arrival order —
-// stable-sorted by score, first k rows. No ANALYZE runs, so the plan stays
-// exact (pruned mode needs grounded statistics).
 
 /// Tie-heavy ratings: 60 users x 300 items, 3 ratings per user, so most
 /// unseen items share no co-rater with the user and score exactly 0.0.
@@ -265,11 +130,15 @@ void LoadTieHeavyRatings(RecDB* db) {
   ASSERT_TRUE(db->BulkInsert("Ratings", rows).ok());
 }
 
-std::string FirstKByScore(RecDB* db, const std::string& unbounded, size_t k) {
+/// The oracle: the first k rows of `unbounded` stable-sorted by score.
+/// `predictions` (optional) receives the unbounded statement's model calls.
+std::string FirstKByScore(RecDB* db, const std::string& unbounded, size_t k,
+                          uint64_t* predictions = nullptr) {
   auto rs = db->Execute(unbounded);
   EXPECT_TRUE(rs.ok()) << unbounded;
   if (!rs.ok()) return "";
   ResultSet& full = rs.value();
+  if (predictions != nullptr) *predictions = full.stats.predictions;
   std::stable_sort(full.rows.begin(), full.rows.end(),
                    [](const Tuple& a, const Tuple& b) {
                      return a.At(2).AsNumeric() > b.At(2).AsNumeric();
@@ -279,9 +148,14 @@ std::string FirstKByScore(RecDB* db, const std::string& unbounded, size_t k) {
 }
 
 TEST(PerUserBoundTest, ExactTopKEqualsStableSortedFullOutput) {
+  // Every algorithm family on sparse and tie-heavy data, in three matrix
+  // states — the freshly built base, a pending delta overlay (new user, new
+  // item, overwrite, delete) and the refreshed base after the overlay
+  // merged — at parallelism 1/2/8.
   ParallelismGuard guard;
+  enum class State { kBase, kDelta, kRefreshed };
   for (bool tie_heavy : {false, true}) {
-    for (const char* algo : {"ItemCosCF", "UserPearCF", "SVD"}) {
+    for (const char* algo : kAlgoNames) {
       RecDB db;
       if (tie_heavy) {
         LoadTieHeavyRatings(&db);
@@ -297,34 +171,55 @@ TEST(PerUserBoundTest, ExactTopKEqualsStableSortedFullOutput) {
           std::string("SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
                       "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
           algo;
-      for (const char* where :
-           {"", " WHERE R.uid = 7", " WHERE R.uid IN (1, 7, 13, 42, 60)"}) {
-        // 500 exceeds every user's unseen count (200 or 300 items).
-        for (size_t k : {size_t{1}, size_t{10}, size_t{500}}) {
-          const std::string what = std::string(algo) + where +
-                                   " k=" + std::to_string(k) +
-                                   (tie_heavy ? " tie-heavy" : "");
-          const std::string bounded = base + where +
-                                      " ORDER BY R.ratingval DESC LIMIT " +
-                                      std::to_string(k);
-          ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
-          auto plan = db.Explain(bounded);
-          ASSERT_TRUE(plan.ok()) << what;
-          EXPECT_NE(plan.value().find("topk=" + std::to_string(k)),
-                    std::string::npos)
-              << what << "\n" << plan.value();
-          EXPECT_EQ(plan.value().find("mode=pruned"), std::string::npos)
-              << what;
-          const std::string expected = FirstKByScore(&db, base + where, k);
-          ASSERT_FALSE(expected.empty()) << what;
-          for (int threads : {1, 2, 8}) {
-            ASSERT_TRUE(
-                db.Execute("SET parallelism = " + std::to_string(threads))
-                    .ok());
-            auto got = db.Execute(bounded);
-            ASSERT_TRUE(got.ok()) << what;
-            EXPECT_EQ(RowsToString(got.value()), expected)
-                << what << " at parallelism " << threads;
+      for (State state : {State::kBase, State::kDelta, State::kRefreshed}) {
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+        if (state == State::kDelta) {
+          ApplyDeltaStatements(&db);
+          ASSERT_TRUE(db.GetRecommender("r").value()->live().has_delta());
+        }
+        if (state == State::kRefreshed) {
+          auto refreshed = db.RefreshRecommender("r");
+          ASSERT_TRUE(refreshed.ok()) << algo;
+          EXPECT_TRUE(refreshed.value()) << algo;
+        }
+        const char* state_name = state == State::kBase    ? " base"
+                                 : state == State::kDelta ? " delta"
+                                                          : " refreshed";
+        // Users 2 and 3 carry the delta's delete and overwrite; 77 is new.
+        for (const char* where :
+             {"", " WHERE R.uid = 7", " WHERE R.uid IN (1, 7, 13, 42, 60)",
+              " WHERE R.uid IN (2, 3, 77)"}) {
+          // 500 exceeds every user's unseen count (200 or 300 items).
+          for (size_t k : {size_t{1}, size_t{10}, size_t{500}}) {
+            const std::string what = std::string(algo) + where +
+                                     " k=" + std::to_string(k) +
+                                     (tie_heavy ? " tie-heavy" : "") +
+                                     state_name;
+            const std::string bounded = base + where +
+                                        " ORDER BY R.ratingval DESC LIMIT " +
+                                        std::to_string(k);
+            ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+            auto plan = db.Explain(bounded);
+            ASSERT_TRUE(plan.ok()) << what;
+            EXPECT_NE(plan.value().find("topk=" + std::to_string(k)),
+                      std::string::npos)
+                << what << "\n" << plan.value();
+            uint64_t unbounded_predictions = 0;
+            const std::string expected =
+                FirstKByScore(&db, base + where, k, &unbounded_predictions);
+            ASSERT_FALSE(expected.empty()) << what;
+            for (int threads : {1, 2, 8}) {
+              ASSERT_TRUE(
+                  db.Execute("SET parallelism = " + std::to_string(threads))
+                      .ok());
+              auto got = db.Execute(bounded);
+              ASSERT_TRUE(got.ok()) << what;
+              EXPECT_EQ(RowsToString(got.value()), expected)
+                  << what << " at parallelism " << threads;
+              // The bound changes what is emitted, not what is scored.
+              EXPECT_EQ(got.value().stats.predictions, unbounded_predictions)
+                  << what << " at parallelism " << threads;
+            }
           }
         }
       }
@@ -360,168 +255,6 @@ TEST(PerUserBoundTest, IncludeRatedBoundsRatedRowsToo) {
     EXPECT_EQ(RowsToString(got.value()), FirstKByScore(&db, base + where, 10))
         << where;
   }
-}
-
-TEST(PerUserBoundTest, ToggleOffDropsTheBound) {
-  RecDB db;
-  LoadSparseRatings(&db);
-  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
-                         "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
-                  .ok());
-  const std::string query =
-      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "WHERE R.uid = 7 ORDER BY R.ratingval DESC LIMIT 10";
-  auto bounded = db.Execute(query);
-  ASSERT_TRUE(bounded.ok());
-  db.mutable_planner_options()->enable_pruned_topn = false;
-  auto plan = db.Explain(query);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan.value().find("topk="), std::string::npos) << plan.value();
-  auto unbounded = db.Execute(query);
-  ASSERT_TRUE(unbounded.ok());
-  EXPECT_EQ(RowsToString(bounded.value()), RowsToString(unbounded.value()));
-  // The bound changes what is emitted, not what is scored.
-  EXPECT_EQ(bounded.value().stats.predictions,
-            unbounded.value().stats.predictions);
-}
-
-// ------------------------------------------------------ planner choose/decline
-
-TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
-  RecDB db;
-  LoadSparseRatings(&db);
-  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
-                         "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
-                  .ok());
-  const std::string explain =
-      "EXPLAIN SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "ORDER BY R.ratingval DESC LIMIT 10";
-
-  // Ungrounded (no ANALYZE): the mode must match the rule-only optimizer;
-  // only the exact path's per-user bound shows.
-  auto before = db.Execute(explain);
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(RowsToString(before.value()).find("mode=pruned"),
-            std::string::npos);
-  EXPECT_NE(RowsToString(before.value()).find("topk=10"), std::string::npos);
-
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  uint64_t chosen0 = CounterValue(Counter::kPrunePlanChosen);
-  auto after = db.Execute(explain);
-  ASSERT_TRUE(after.ok());
-  std::string plan = RowsToString(after.value());
-  EXPECT_NE(plan.find("mode=pruned(k=10)"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("topk="), std::string::npos) << plan;
-  EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
-
-  db.mutable_planner_options()->enable_pruned_topn = false;
-  auto off = db.Execute(explain);
-  ASSERT_TRUE(off.ok());
-  std::string off_plan = RowsToString(off.value());
-  EXPECT_EQ(off_plan.find("mode=pruned"), std::string::npos) << off_plan;
-  EXPECT_NE(off_plan.find("pruned_topn=off"), std::string::npos) << off_plan;
-}
-
-TEST(PrunedPlanChoiceTest, DenseMatrixDeclinesPruning) {
-  // 10 users x 8 items at ~60% density: nearly every item is a candidate of
-  // every user and the walk touches most of the matrix, while the exact
-  // scan only has ~3 unseen items per user to score. The grounded cost
-  // model must keep the exact plan (and say so in the decline counter).
-  RecDB db;
-  ASSERT_TRUE(
-      db.Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
-          .ok());
-  std::vector<std::vector<Value>> rows;
-  for (int u = 1; u <= 10; ++u) {
-    for (int i = 1; i <= 8; ++i) {
-      if ((u * 7 + i * 3) % 5 < 3) {
-        rows.push_back({Value::Int(u), Value::Int(i),
-                        Value::Double((u * 3 + i * 5) % 5 + 1)});
-      }
-    }
-  }
-  ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
-  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
-                         "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
-                  .ok());
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  uint64_t declined0 = CounterValue(Counter::kPrunePlanDeclined);
-  auto rs = db.Execute(
-      "EXPLAIN SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "ORDER BY R.ratingval DESC LIMIT 3");
-  ASSERT_TRUE(rs.ok());
-  std::string plan = RowsToString(rs.value());
-  EXPECT_EQ(plan.find("mode=pruned"), std::string::npos) << plan;
-  EXPECT_GT(CounterValue(Counter::kPrunePlanDeclined), declined0);
-}
-
-// -------------------------------------------------- CandidateIndex coherence
-
-TEST(CandidateIndexTest, PostingsMirrorBaseAndSurviveIngestUntilRefresh) {
-  RecommenderConfig cfg;
-  cfg.name = "r";
-  cfg.algorithm = RecAlgorithm::kItemCosCF;
-  Recommender rec(cfg);
-  for (int64_t u = 1; u <= 12; ++u) {
-    for (int64_t k = 0; k < 5; ++k) {
-      rec.AddRating(u, (u * 3 + k * 7) % 15 + 1, (u + k) % 5 + 1);
-    }
-  }
-  ASSERT_TRUE(rec.Build().ok());
-  auto index = rec.candidate_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(index->prunable());
-  EXPECT_EQ(index->version(), rec.live().version());
-  EXPECT_EQ(index->num_users(), rec.live().NumUsers());
-  EXPECT_EQ(index->num_items(), rec.live().NumItems());
-  EXPECT_GT(index->stats().sampled_users, 0u);
-
-  // Every base rating appears in both postings directions.
-  const RatingMatrix& m = rec.live();
-  for (size_t u = 0; u < m.NumUsers(); ++u) {
-    CsrRow row = m.UserCsrRow(static_cast<int32_t>(u));
-    CandidateIndex::Postings p = index->RatedItems(static_cast<int32_t>(u));
-    ASSERT_EQ(p.n, row.n) << "user " << u;
-    for (size_t k = 0; k < row.n; ++k) {
-      bool found = false;
-      CandidateIndex::Postings raters = index->Raters(row.idx[k]);
-      for (size_t j = 0; j < raters.n; ++j) {
-        if (raters.idx[j] == static_cast<int32_t>(u)) found = true;
-      }
-      EXPECT_TRUE(found) << "rating (" << u << ", " << row.idx[k]
-                         << ") missing from item postings";
-    }
-  }
-
-  // Ingest lands in the overlay; the published index still mirrors the
-  // frozen base (executors merge the side rows at walk time).
-  const uint64_t base_version = index->version();
-  rec.AddRating(1, 999, 5.0);
-  rec.AddRating(2, 999, 3.0);
-  EXPECT_EQ(rec.candidate_index()->version(), base_version);
-
-  // Refresh merges the overlay; the rebuilt index covers the new item.
-  auto refreshed = rec.Refresh();
-  ASSERT_TRUE(refreshed.ok());
-  ASSERT_TRUE(refreshed.value());
-  auto fresh = rec.candidate_index();
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_NE(fresh.get(), index.get());
-  EXPECT_EQ(fresh->version(), rec.live().version());
-  EXPECT_EQ(fresh->num_items(), rec.live().NumItems());
-  auto item_idx = rec.live().ItemIndex(999);
-  ASSERT_TRUE(item_idx.has_value());
-  EXPECT_EQ(fresh->Raters(*item_idx).n, 2u);
-  // The old shared_ptr stays valid for in-flight executors.
-  EXPECT_EQ(index->version(), base_version);
 }
 
 // ---------------------------------------------------------- batched ingest

@@ -11,6 +11,11 @@ Checks, over every tracked *.md file in the repo:
          `<known-subsystem>.<name>`) is declared in the header.
      The header is the single source of truth; prefixes are derived from
      it, so new subsystems need no lint changes.
+  3. Every DESIGN.md section reference — `DESIGN.md §N`, `[§N](DESIGN.md)`
+     and the range forms `§§N–M` — must name an existing `## N.` heading
+     of DESIGN.md. Checked in the markdown files of check 1 and in the C++
+     sources under src/, tests/ and bench/, where a reference may wrap
+     across a comment line break.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -30,6 +35,20 @@ SKIP_DIRS = {"build", "build-native", ".git"}
 SKIP_FILES = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+DESIGN = REPO / "DESIGN.md"
+SOURCE_DIRS = ("src", "tests", "bench")
+SOURCE_SUFFIXES = {".cc", ".h", ".cpp"}
+# A log: its entries cite sections as they stood when they were written.
+SECTION_SKIP_FILES = {"CHANGES.md"}
+DESIGN_HEADING = re.compile(r"^## (\d+[a-z]?)\.", re.MULTILINE)
+SECTION = r"§§?(\d+[a-z]?)(?:\s*[–-]\s*§?(\d+[a-z]?))?"
+# "DESIGN.md §N", "`DESIGN.md` §N", "[DESIGN.md](../DESIGN.md) §N", with
+# whitespace and comment markers allowed between the name and the section.
+DESIGN_REF = re.compile(
+    r"DESIGN\.md(?:`|\]\([^)\s]*\))?(?:\s|//+|\*|#)*" + SECTION)
+# "[§N](../DESIGN.md)" and "[§N text](../DESIGN.md#anchor)".
+DESIGN_LINK_REF = re.compile(
+    r"\[" + SECTION + r"[^\]]*\]\([^)\s]*DESIGN\.md[^)\s]*\)")
 METRIC_DECL = re.compile(r'X\(k\w+,\s*"([a-z0-9_.]+)"')
 BACKTICKED = re.compile(r"`([a-z0-9_]+\.[a-z0-9_.]+)`")
 
@@ -59,6 +78,35 @@ def check_links(errors):
             if not resolved.exists():
                 rel = md.relative_to(REPO)
                 errors.append(f"{rel}: broken link -> {target}")
+
+
+def section_reference_files():
+    for md in markdown_files():
+        if md.name not in SECTION_SKIP_FILES:
+            yield md
+    for top in SOURCE_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix in SOURCE_SUFFIXES and path.is_file():
+                yield path
+
+
+def check_section_refs(errors):
+    if not DESIGN.exists():
+        errors.append("missing DESIGN.md")
+        return
+    sections = set(DESIGN_HEADING.findall(DESIGN.read_text("utf-8")))
+    for path in section_reference_files():
+        text = path.read_text(encoding="utf-8")
+        rel = path.relative_to(REPO)
+        for pattern in (DESIGN_REF, DESIGN_LINK_REF):
+            for match in pattern.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                for number in match.groups():
+                    if number is not None and number not in sections:
+                        errors.append(
+                            f"{rel}:{line}: DESIGN.md §{number} has no "
+                            f"'## {number}.' heading"
+                        )
 
 
 def check_metric_names(errors):
@@ -96,6 +144,7 @@ def main():
     errors = []
     check_links(errors)
     check_metric_names(errors)
+    check_section_refs(errors)
     for e in errors:
         print(e)
     if errors:
