@@ -39,7 +39,10 @@ struct ExecStats {
 struct ExecContext {
   ExecStats stats;
   /// Actual rows emitted per plan node (EXPLAIN ANALYZE), keyed by node
-  /// address; filled by the Executor::Next wrapper as tuples flow.
+  /// address. Each executor resolves its node's entry once, at
+  /// construction, and the Executor::Next wrapper bumps it through that
+  /// pointer (unordered_map references stay valid across rehashing, and
+  /// entries are never erased).
   ActualRowMap actual_rows;
   /// Non-null when `SET trace = on`: the Next wrapper times each NextImpl
   /// call and accumulates per-node inclusive durations into the tracer.
@@ -50,7 +53,9 @@ struct ExecContext {
 class Executor {
  public:
   Executor(const PlanNode& node, ExecContext* ctx)
-      : node_(&node), exec_ctx_(ctx) {}
+      : node_(&node),
+        exec_ctx_(ctx),
+        actual_rows_(ctx != nullptr ? &ctx->actual_rows[&node] : nullptr) {}
   virtual ~Executor() = default;
 
   /// Prepare (or re-prepare) the iterator. Must be callable repeatedly.
@@ -65,8 +70,8 @@ class Executor {
       return TracedNext();
     }
     auto r = NextImpl();
-    if (r.ok() && r.value().has_value() && exec_ctx_ != nullptr) {
-      ++exec_ctx_->actual_rows[node_];
+    if (r.ok() && r.value().has_value() && actual_rows_ != nullptr) {
+      ++*actual_rows_;
     }
     return r;
   }
@@ -84,12 +89,13 @@ class Executor {
             .count());
     const bool produced = r.ok() && r.value().has_value();
     exec_ctx_->tracer->RecordNode(node_, ns, produced);
-    if (produced) ++exec_ctx_->actual_rows[node_];
+    if (produced) ++*actual_rows_;
     return r;
   }
 
   const PlanNode* node_;
   ExecContext* exec_ctx_;
+  uint64_t* actual_rows_;  // this node's ExecContext::actual_rows entry
 };
 
 using ExecutorPtr = std::unique_ptr<Executor>;

@@ -52,10 +52,14 @@ std::vector<int64_t> ResolveItems(
 /// saves; stay on the streaming serial path.
 constexpr size_t kMinPairsForParallel = 256;
 
-/// Outer tuples batched per JoinRecommend probe window. Bounds both the
-/// emission latency (tuples are held until the window is scored) and the
-/// per-window score matrix (|users| × window doubles).
-constexpr size_t kJoinProbeWindow = 64;
+/// (user × probe) pairs scored per JoinRecommend probe window. Each
+/// PredictBatch call carries a per-call cost (ItemCF scatters the user's
+/// whole row, NumItems), so a window should be as wide as the score matrix
+/// (|users| × window doubles) allows: a single-user join scores an outer of
+/// up to this many tuples in one call, while many named users still get a
+/// bounded matrix. Emission does not depend on where windows are cut.
+constexpr size_t kJoinPairBudget = 65536;
+constexpr size_t kJoinMinWindow = 64;
 
 /// Score one user over items[begin, end): rated items keep their stored
 /// rating (and set the rated flag), the rest go through one PredictBatch.
@@ -276,6 +280,11 @@ Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
 
 // -------------------------------------------------------- JoinRecommend
 
+size_t JoinRecommendExecutor::ProbeWindow(size_t num_users) {
+  return std::max(kJoinMinWindow,
+                  kJoinPairBudget / std::max<size_t>(1, num_users));
+}
+
 Status JoinRecommendExecutor::Init() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
@@ -288,6 +297,7 @@ Status JoinRecommendExecutor::Init() {
   for (int64_t id : plan_.user_ids) {
     if (snapshot.UserIndex(id).has_value()) valid_users_.push_back(id);
   }
+  window_size_ = ProbeWindow(valid_users_.size());
   outer_done_ = false;
   window_.clear();
   window_slot_ = 0;
@@ -311,7 +321,7 @@ Status JoinRecommendExecutor::FillWindow() {
   // would emit garbage or read out of bounds) nor already-counted probes
   // (a re-Init re-run sharing this ExecContext would double-count them).
   uint64_t probes = 0;
-  while (window_.size() < kJoinProbeWindow) {
+  while (window_.size() < window_size_) {
     auto next = outer_->Next();
     if (!next.ok()) {
       window_.clear();
@@ -342,7 +352,7 @@ Status JoinRecommendExecutor::FillWindow() {
   if (w == 0) return Status::OK();
   // One PredictBatch per user across the window's unrated known items —
   // the probe-batch amortization: the user context is resolved once for
-  // up to kJoinProbeWindow probes instead of once per (probe, user) pair.
+  // the whole window instead of once per (probe, user) pair.
   std::vector<int64_t> cand;
   std::vector<size_t> cand_slot;
   std::vector<double> pred;

@@ -78,6 +78,11 @@ class JoinRecommendExecutor : public Executor {
   Status Init() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
+  /// Outer tuples per probe window when `num_users` users are scored: a
+  /// fixed (user × probe) pair budget shared among the users, never below
+  /// 64 tuples.
+  static size_t ProbeWindow(size_t num_users);
+
  private:
   /// Pull the next window of outer tuples and batch-score it: one
   /// PredictBatch per user over the window's valid unrated items, instead
@@ -89,6 +94,7 @@ class JoinRecommendExecutor : public Executor {
   ExecContext* ctx_;
   // Pushed-down users known to the model, in plan order (resolved once).
   std::vector<int64_t> valid_users_;
+  size_t window_size_ = 0;  // ProbeWindow(valid_users_.size())
   bool outer_done_ = false;
   // Current probe window. Scores/skip flags are flattened [user][slot].
   std::vector<Tuple> window_;

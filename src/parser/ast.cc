@@ -108,18 +108,37 @@ ExprPtr Expr::Clone() const {
 
 std::string Expr::ToString() const {
   switch (kind) {
-    case ExprKind::kLiteral:
-      return literal.type() == TypeId::kString ? "'" + literal.ToString() + "'"
-                                               : literal.ToString();
+    // Built by appending to a local: GCC 12 reports a false -Wrestrict on
+    // the inlined `"literal" + std::string&&` operator.
+    case ExprKind::kLiteral: {
+      if (literal.type() != TypeId::kString) return literal.ToString();
+      std::string out = "'";
+      out += literal.ToString();
+      out += "'";
+      return out;
+    }
     case ExprKind::kColumnRef:
       return qualifier.empty() ? column : qualifier + "." + column;
-    case ExprKind::kBinary:
-      return "(" + left->ToString() + " " + BinaryOpToString(op) + " " +
-             right->ToString() + ")";
-    case ExprKind::kNot:
-      return "NOT " + left->ToString();
-    case ExprKind::kNegate:
-      return "-" + left->ToString();
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += left->ToString();
+      out += " ";
+      out += BinaryOpToString(op);
+      out += " ";
+      out += right->ToString();
+      out += ")";
+      return out;
+    }
+    case ExprKind::kNot: {
+      std::string out = "NOT ";
+      out += left->ToString();
+      return out;
+    }
+    case ExprKind::kNegate: {
+      std::string out = "-";
+      out += left->ToString();
+      return out;
+    }
     case ExprKind::kFunctionCall: {
       std::string out = func_name + "(";
       for (size_t i = 0; i < args.size(); ++i) {

@@ -242,10 +242,11 @@ Status TableHeap::RepairTail(bool* repaired) {
 
 Result<std::optional<std::pair<Rid, Tuple>>> TableHeap::Iterator::Next() {
   while (page_id_ != kInvalidPageId) {
-    RECDB_ASSIGN_OR_RETURN(PageGuard guard,
-                           heap_->pool_->FetchGuard(page_id_));
-    TablePage tp(guard.page());
-    uint16_t n = tp.num_slots();
+    if (!guard_) {
+      RECDB_ASSIGN_OR_RETURN(guard_, heap_->pool_->FetchGuard(page_id_));
+    }
+    TablePage tp(guard_.page());
+    const uint16_t n = tp.num_slots();
     while (slot_ < n) {
       uint16_t s = slot_++;
       auto bytes = tp.Get(s);
@@ -254,12 +255,11 @@ Result<std::optional<std::pair<Rid, Tuple>>> TableHeap::Iterator::Next() {
           Tuple tuple,
           Tuple::DeserializeFrom(bytes.value().first, bytes.value().second,
                                  num_values_));
-      Rid rid{page_id_, s};
-      RECDB_RETURN_NOT_OK(guard.Drop());
-      return std::make_optional(std::make_pair(rid, std::move(tuple)));
+      return std::make_optional(
+          std::make_pair(Rid{page_id_, s}, std::move(tuple)));
     }
     page_id_t next = tp.next_page_id();
-    RECDB_RETURN_NOT_OK(guard.Drop());
+    RECDB_RETURN_NOT_OK(guard_.Drop());
     page_id_ = next;
     slot_ = 0;
   }

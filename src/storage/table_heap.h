@@ -96,6 +96,16 @@ class TableHeap {
   ///     if (!next.ok()) ...error...
   ///     if (!next.value()) break;        // exhausted
   ///   }
+  ///
+  /// Pin discipline: the iterator holds at most one pin, on the page it is
+  /// reading, from the first tuple of that page until it steps past the
+  /// page's last slot (or is destroyed). A scan therefore costs one
+  /// buffer-pool fetch per page, not one per tuple. Returned tuples are
+  /// decoded copies, so no caller ever points into the pinned frame. The
+  /// iterator is move-only (it owns the pin). Callers must not mutate a
+  /// page of this heap while a live iterator may have it pinned: DML
+  /// collects its victims with a finished scan before mutating, and writers
+  /// hold the engine lock exclusively, so no reader's scan is in flight.
   class Iterator {
    public:
     Iterator(const TableHeap* heap, size_t num_values)
@@ -111,6 +121,7 @@ class TableHeap {
     size_t num_values_;
     page_id_t page_id_;
     uint16_t slot_ = 0;
+    PageGuard guard_;  // pin on page_id_ while mid-page; empty otherwise
   };
 
   Iterator Begin(size_t num_values) const { return Iterator(this, num_values); }

@@ -31,7 +31,12 @@ struct Rid {
     return page_id == o.page_id && slot == o.slot;
   }
   std::string ToString() const {
-    return "(" + std::to_string(page_id) + "," + std::to_string(slot) + ")";
+    std::string out = "(";  // appended: GCC 12 false -Wrestrict otherwise
+    out += std::to_string(page_id);
+    out += ",";
+    out += std::to_string(slot);
+    out += ")";
+    return out;
   }
 };
 

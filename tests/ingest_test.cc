@@ -92,7 +92,7 @@ void ApplyToRecommender(Recommender* rec, const std::vector<Op>& ops) {
 
 RecommenderConfig MakeConfig(RecAlgorithm algo) {
   RecommenderConfig cfg;
-  cfg.name = "r";
+  cfg.name = std::string("r");  // not `= "r"`: GCC 12 false -Wrestrict
   cfg.algorithm = algo;
   cfg.svd_opts.num_epochs = 4;
   cfg.svd_opts.num_factors = 6;
@@ -596,8 +596,11 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER BgRec ON R USERS FROM u ITEMS "
                          "FROM i RATINGS FROM v USING ItemCosCF")
                   .ok());
-  // Pile up delta past the trigger; the scheduler should pick it up.
-  for (int64_t k = 0; k < 6; ++k) {
+  // Pile up exactly min_refresh_ops of delta: only the last INSERT crosses
+  // the trigger, so it schedules the one refresh and nothing lands after
+  // it. (A longer burst could let that refresh commit before the trailing
+  // INSERTs, leaving a sub-trigger delta that nothing would merge.)
+  for (int64_t k = 0; k < 4; ++k) {
     ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(1 + k) +
                            ", " + std::to_string(((k * 2) % 5) + 1) + ", 4.0)")
                     .ok());

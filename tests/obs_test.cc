@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -506,10 +507,12 @@ std::vector<std::pair<int64_t, int64_t>> Drain(Executor* exec) {
 
 TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
   auto rec = MakeJoinRec();
-  // 70 probes: more than one kJoinProbeWindow (64), so the clean run fills
-  // two windows and the second attempt exercises a refill after the error.
+  // More probes than one window holds for the plan's 3 users, so the clean
+  // run fills two windows and the second attempt exercises a refill after
+  // the error.
+  const size_t num_probes = JoinRecommendExecutor::ProbeWindow(3) + 6;
   std::vector<int64_t> items;
-  for (int i = 0; i < 70; ++i) items.push_back(1 + i % 4);
+  for (size_t i = 0; i < num_probes; ++i) items.push_back(1 + i % 4);
 
   // Reference: a clean single run.
   JoinRecommendPlan clean_plan;
@@ -523,8 +526,10 @@ TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
       &clean_ctx);
   ASSERT_TRUE(clean_exec.Init().ok());
   auto clean_rows = Drain(&clean_exec);
-  ASSERT_EQ(clean_ctx.stats.join_probes, 70u);
-  ASSERT_EQ(clean_rows.size(), 70u * 3u);  // include_rated: 3 users per probe
+  ASSERT_EQ(clean_ctx.stats.join_probes, num_probes);
+  ASSERT_EQ(clean_rows.size(), num_probes * 3);  // include_rated: 3 per probe
+  ASSERT_EQ(clean_ctx.stats.predict_batches, 2u * 3u)  // 2 windows x 3 users
+      << "the probes must span exactly two windows";
 
   // Faulty run: the outer fails on its 4th Next() call, mid-way through the
   // first window fill. The fill must commit neither probes nor window state.
@@ -551,6 +556,68 @@ TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
   EXPECT_EQ(ctx.stats.join_probes, clean_ctx.stats.join_probes);
   EXPECT_EQ(ctx.stats.predictions, clean_ctx.stats.predictions);
   EXPECT_EQ(ctx.stats.predict_batches, clean_ctx.stats.predict_batches);
+}
+
+TEST(ExecStatsTest, JoinRecommendWindowsMatchPerProbePredictBatch) {
+  auto rec = MakeJoinRec();
+  const RecModel* model = rec->model();
+  const RatingMatrix& ratings = model->ratings();
+  for (const std::vector<int64_t>& users :
+       {std::vector<int64_t>{1}, std::vector<int64_t>{1, 2, 3}}) {
+    const size_t window = JoinRecommendExecutor::ProbeWindow(users.size());
+    for (size_t num_probes : {size_t{10}, window, window + 7}) {
+      SCOPED_TRACE(::testing::Message() << users.size() << " user(s), "
+                                        << num_probes << " probes");
+      // Item 5 is unknown to the model: its probes emit nothing.
+      std::vector<int64_t> items;
+      for (size_t i = 0; i < num_probes; ++i) {
+        items.push_back(1 + static_cast<int64_t>((i * 7) % 5));
+      }
+      JoinRecommendPlan plan;
+      InitJoinPlan(&plan, rec.get());
+      plan.user_ids = users;
+      plan.include_rated = false;
+      FilterPlan outer_node;
+      ExecContext ctx;
+      JoinRecommendExecutor exec(
+          plan,
+          std::make_unique<FlakyOuterExecutor>(outer_node, &ctx, items, -1),
+          &ctx);
+      ASSERT_TRUE(exec.Init().ok());
+
+      // Reference: slot-major, user-minor, one single-item PredictBatch
+      // per unrated known (probe, user) pair.
+      size_t emitted = 0;
+      for (int64_t item : items) {
+        for (int64_t uid : users) {
+          if (!ratings.ItemIndex(item).has_value()) continue;
+          if (ratings.Get(uid, item).has_value()) continue;
+          double want = 0;
+          model->PredictBatch(uid, std::span<const int64_t>(&item, 1),
+                              std::span<double>(&want, 1));
+          auto next = exec.Next();
+          ASSERT_TRUE(next.ok()) << next.status();
+          ASSERT_TRUE(next.value().has_value()) << "ended after " << emitted;
+          const Tuple& row = *next.value();
+          ASSERT_EQ(row.At(0).AsInt(), uid);
+          ASSERT_EQ(row.At(1).AsInt(), item);
+          ASSERT_EQ(row.At(3).AsInt(), item);
+          ASSERT_EQ(std::bit_cast<uint64_t>(row.At(2).AsDouble()),
+                    std::bit_cast<uint64_t>(want))
+              << "score of (" << uid << ", " << item << ")";
+          ++emitted;
+        }
+      }
+      auto end = exec.Next();
+      ASSERT_TRUE(end.ok());
+      EXPECT_FALSE(end.value().has_value());
+      // Every window holds an unrated item for each of these users, so
+      // each issues one PredictBatch per user per window.
+      const size_t windows = (num_probes + window - 1) / window;
+      EXPECT_EQ(ctx.stats.predict_batches, windows * users.size());
+      EXPECT_EQ(ctx.stats.predictions, emitted);
+    }
+  }
 }
 
 // ------------------------------------------------------- end-to-end via SQL

@@ -5,6 +5,7 @@
 
 #include "api/recdb.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 
 namespace recdb {
 namespace {
@@ -19,11 +20,11 @@ class OptimizerTest : public ::testing::Test {
     Rng rng(31);
     std::vector<std::vector<Value>> movies, ratings, users;
     for (int m = 1; m <= 30; ++m) {
-      movies.push_back({Value::Int(m), Value::String("m" + std::to_string(m)),
+      movies.push_back({Value::Int(m), Value::String(StringFormat("m%d", m)),
                         Value::String(m % 4 == 0 ? "Action" : "Other")});
     }
     for (int u = 1; u <= 20; ++u) {
-      users.push_back({Value::Int(u), Value::String("u" + std::to_string(u)),
+      users.push_back({Value::Int(u), Value::String(StringFormat("u%d", u)),
                        Value::Int(20 + u)});
       for (int k = 0; k < 8; ++k) {
         ratings.push_back({Value::Int(u), Value::Int(rng.UniformInt(1, 30)),
@@ -219,7 +220,10 @@ TEST_F(OptimizerTest, ItemPushdownFlipsWithSelectivity) {
   // user, so after ANALYZE the cost pass prefers a full Recommend with a
   // post-filter (paper Fig. 6 crossover). 3 of 30 stays pushed.
   std::string wide_list = "1";
-  for (int m = 2; m <= 28; ++m) wide_list += "," + std::to_string(m);
+  for (int m = 2; m <= 28; ++m) {
+    wide_list += ",";
+    wide_list += std::to_string(m);
+  }
   const std::string wide_sql =
       "SELECT R.iid FROM Ratings AS R "
       "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
@@ -326,7 +330,8 @@ TEST_P(OptimizerEquivalenceTest, OptimizedMatchesNaive) {
   for (int k = 0; k < 4; ++k) items.push_back(rng.UniformInt(1, 30));
   std::string in_list;
   for (size_t i = 0; i < items.size(); ++i) {
-    in_list += (i ? "," : "") + std::to_string(items[i]);
+    if (i > 0) in_list += ",";
+    in_list += std::to_string(items[i]);
   }
   bool with_join = rng.Bernoulli(0.5);
   bool with_topk = rng.Bernoulli(0.5);

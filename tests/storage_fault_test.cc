@@ -437,6 +437,82 @@ TEST_F(EngineFaultTest, FailedCreateRecommenderLeavesRegistryClean) {
   EXPECT_TRUE(db_->registry()->Get("Rec2").ok());
 }
 
+// --- held-pin scans: a scan pins one page at a time, across Next calls -----
+//
+// The fixture's 4-frame pool makes every table here span more frames than
+// the pool holds, so a scan that forgot a pin at a page boundary (or on an
+// early exit or error) would show up as a leaked pin or as ResourceExhausted.
+
+TEST_F(EngineFaultTest, LimitExitingMidScanReleasesItsPin) {
+  // LIMIT 1 stops pulling after the first tuple of the first Users page.
+  auto rs = Exec("SELECT uid, name FROM Users LIMIT 1");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0].At(0).AsInt(), 1);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, ExplainAnalyzeScanReleasesItsPin) {
+  auto rs = Exec("EXPLAIN ANALYZE SELECT uid FROM Users WHERE uid < 10");
+  std::string plan;
+  for (const auto& row : rs.rows) plan += row.At(0).AsString() + "\n";
+  EXPECT_NE(plan.find("act=400"), std::string::npos) << plan;  // the scan
+  EXPECT_NE(plan.find("act=9"), std::string::npos) << plan;    // the filter
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, ScanFailingOnItsSecondPageReleasesItsPin) {
+  // Scanning Ratings end to end evicts every Users page from the pool, so
+  // the Users scan below reads each of its pages from the device: read 1
+  // is its first page, read 2 its second.
+  Exec("SELECT COUNT(*) FROM Ratings");
+  disk_->ClearFaults();
+  disk_->FailNthRead(2, FaultKind::kPermanent);
+  auto r = db_->Execute("SELECT COUNT(*) FROM Users");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(disk_->read_attempts(), 2u) << "the fault must hit page 2";
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+
+  disk_->ClearFaults();
+  auto rs = Exec("SELECT COUNT(*) FROM Users");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0].At(0).AsInt(), 400);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, DmlWhoseWhereScansTheMutatedHeapReleasesPins) {
+  // A longer name cannot be updated in place: each row is deleted and
+  // re-inserted at the heap's tail, behind the finished WHERE scan.
+  auto upd = Exec(
+      "UPDATE Users SET name = 'a-replacement-name-much-longer-than-any-of-"
+      "the-original-names' WHERE uid > 390");
+  EXPECT_NE(upd.message.find("updated 10 rows"), std::string::npos)
+      << upd.message;
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+  auto del = Exec("DELETE FROM Users WHERE uid <= 10");
+  EXPECT_NE(del.message.find("deleted 10 rows"), std::string::npos)
+      << del.message;
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+
+  auto count = Exec("SELECT COUNT(*) FROM Users");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0].At(0).AsInt(), 390);
+  auto renamed = Exec(
+      "SELECT uid FROM Users WHERE name = 'a-replacement-name-much-longer-"
+      "than-any-of-the-original-names'");
+  EXPECT_EQ(renamed.rows.size(), 10u);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, FilteredJoinThroughTinyPoolReleasesPins) {
+  auto rs = Exec(
+      "SELECT U.name, R.ratingval FROM Users U, Ratings R "
+      "WHERE U.uid = R.uid AND R.iid = 5 ORDER BY U.uid");
+  size_t expected = 0;  // users 1..40 rated item 5 unless (uid + 5) % 3 == 0
+  for (int u = 1; u <= 40; ++u) expected += (u + 5) % 3 != 0 ? 1 : 0;
+  EXPECT_EQ(rs.rows.size(), expected);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
 // --- file-backed RecDB: close + reopen ---------------------------------------
 
 using Recommendation = std::pair<int64_t, double>;

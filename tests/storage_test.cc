@@ -179,6 +179,51 @@ TEST(TableHeapTest, ManyInsertsSpanPagesAndScanSeesAll) {
   EXPECT_EQ(heap.num_tuples(), static_cast<size_t>(kN));
 }
 
+TEST(TableHeapTest, ScanPinsEachPageOnceAndHoldsAtMostOnePin) {
+  InMemoryDiskManager disk;
+  BufferPool pool(4, &disk);
+  auto heap_res = TableHeap::Create(&pool);
+  ASSERT_TRUE(heap_res.ok());
+  auto& heap = *heap_res.value();
+  constexpr int kN = 2000;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_TRUE(heap.Insert(MakeRow(i, "user_" + std::to_string(i), i)).ok());
+  }
+  const size_t num_pages = disk.NumPages();  // the heap is the only file
+  ASSERT_GT(num_pages, 4u);
+
+  pool.ResetCounters();
+  {
+    auto it = heap.Begin(3);
+    int count = 0;
+    while (true) {
+      auto next = it.Next();
+      ASSERT_TRUE(next.ok());
+      if (!next.value().has_value()) break;
+      ASSERT_EQ(pool.NumPinned(), 1u) << "mid-scan, tuple " << count;
+      ++count;
+    }
+    EXPECT_EQ(count, kN);
+    EXPECT_EQ(pool.NumPinned(), 0u) << "an exhausted scan holds no pin";
+  }
+  // One fetch per page, not one per tuple.
+  EXPECT_EQ(pool.hits() + pool.misses(), num_pages);
+
+  // Abandoning a scan mid-page releases its pin; a moved iterator carries
+  // the pin and resumes where the source stopped.
+  {
+    auto it = heap.Begin(3);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(it.Next().ok());
+    TableHeap::Iterator moved = std::move(it);
+    EXPECT_EQ(pool.NumPinned(), 1u);
+    auto next = moved.Next();
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(next.value().has_value());
+    EXPECT_EQ(next.value()->second.At(0).AsInt(), 5);
+  }
+  EXPECT_EQ(pool.NumPinned(), 0u);
+}
+
 TEST(TableHeapTest, DeleteHidesTupleFromScan) {
   InMemoryDiskManager disk;
   BufferPool pool(8, &disk);
