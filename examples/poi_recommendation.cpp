@@ -6,14 +6,12 @@
 //   Query 6 — hotels inside an urban area          (ST_Contains)
 //   Query 7 — restaurants within a radius          (ST_DWithin)
 //   Query 8 — rank by combined rating + proximity  (CScore + ST_Distance)
-// plus a direct R-tree lookup showing the spatial index substrate.
 //
 // Run: ./build/examples/poi_recommendation
 #include <cstdio>
 
 #include "api/recdb.h"
 #include "datagen/datagen.h"
-#include "spatial/rtree.h"
 
 using recdb::RecDB;
 using recdb::ResultSet;
@@ -93,19 +91,5 @@ int main() {
                 "ST_Distance(I.geom, ST_Point(50.0, 50.0))) DESC LIMIT 3");
   std::printf("Query 8 — combined rating/proximity ranking (%.2f ms):\n%s\n",
               q8.elapsed_seconds * 1e3, q8.ToString().c_str());
-
-  // Substrate view: the same radius filter through the R-tree directly.
-  auto pois = Run(db, "SELECT iid, geom FROM yelp_items");
-  std::vector<recdb::spatial::RTreeEntry> entries;
-  for (const auto& row : pois.rows) {
-    const auto& g = row.At(1).AsGeometry();
-    entries.push_back({g.point(), row.At(0).AsInt()});
-  }
-  recdb::spatial::RTree rtree(entries);
-  auto near = rtree.QueryRadius({50, 50}, 15.0);
-  std::printf(
-      "R-tree check: %zu POIs within radius 15 of (50,50); "
-      "%zu index nodes visited for %zu POIs total\n",
-      near.size(), rtree.last_nodes_visited(), rtree.size());
   return 0;
 }

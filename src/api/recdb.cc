@@ -59,6 +59,22 @@ bool IsWriteStatement(const Statement& stmt) {
   }
 }
 
+// The value of SET <option> = on/off: an integer (nonzero is on), or one of
+// on/off, true/false, 1/0 as a string.
+Result<bool> ParseOnOff(const SetStatement& stmt) {
+  const Value& v = stmt.value;
+  if (v.type() == TypeId::kInt64) return v.AsInt() != 0;
+  std::string error = "SET " + stmt.option + " expects on/off";
+  if (v.type() != TypeId::kString) return Status::InvalidArgument(error);
+  const std::string lower = ToLower(v.AsString());
+  if (lower == "on" || lower == "true" || lower == "1") return true;
+  if (lower == "off" || lower == "false" || lower == "0") return false;
+  error += " (got '";
+  error += v.AsString();
+  error += "')";
+  return Status::InvalidArgument(error);
+}
+
 // RecommenderConfig wire format, shared by the catalog meta pages and
 // kCreateRecommender WAL records so the two can never drift.
 void WriteRecommenderConfig(ByteWriter* w, const RecommenderConfig& cfg) {
@@ -644,12 +660,19 @@ Result<std::string> RecDB::Explain(const std::string& sql) {
   if (stmt->kind != StatementKind::kSelect) {
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
-  Planner planner(catalog_.get(), &registry_, options_.planner);
   RECDB_ASSIGN_OR_RETURN(
-      auto planned, planner.PlanSelect(static_cast<SelectStatement&>(*stmt)));
+      auto planned, PlanSelect(static_cast<const SelectStatement&>(*stmt)));
+  return PlannerOptionsSummary(options_.planner) + "\n" +
+         planned.plan->ToString();
+}
+
+Result<PlannedQuery> RecDB::PlanSelect(const SelectStatement& stmt) {
+  Planner planner(catalog_.get(), &registry_, options_.planner);
+  RECDB_ASSIGN_OR_RETURN(auto planned, planner.PlanSelect(stmt));
   Optimizer optimizer(options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto plan, optimizer.Optimize(std::move(planned.plan)));
-  return PlannerOptionsSummary(options_.planner) + "\n" + plan->ToString();
+  RECDB_ASSIGN_OR_RETURN(planned.plan,
+                         optimizer.Optimize(std::move(planned.plan)));
+  return planned;
 }
 
 Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
@@ -677,14 +700,10 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
       return ExecuteUpdate(static_cast<const UpdateStatement&>(stmt));
     case StatementKind::kExplain: {
       const auto& explain = static_cast<const ExplainStatement&>(stmt);
-      Planner planner(catalog_.get(), &registry_, options_.planner);
       RECDB_ASSIGN_OR_RETURN(
           auto planned,
-          planner.PlanSelect(
-              static_cast<const SelectStatement&>(*explain.inner)));
-      Optimizer optimizer(options_.planner);
-      RECDB_ASSIGN_OR_RETURN(auto plan,
-                             optimizer.Optimize(std::move(planned.plan)));
+          PlanSelect(static_cast<const SelectStatement&>(*explain.inner)));
+      const PlanNodePtr& plan = planned.plan;
       ResultSet rs;
       rs.columns = {"plan"};
       std::string rendered;
@@ -774,45 +793,14 @@ Result<ResultSet> RecDB::ExecuteSet(const SetStatement& stmt) {
     return rs;
   }
   if (stmt.option == "trace") {
-    bool enable;
-    if (stmt.value.type() == TypeId::kInt64) {
-      enable = stmt.value.AsInt() != 0;
-    } else if (stmt.value.type() == TypeId::kString) {
-      std::string v = ToLower(stmt.value.AsString());
-      if (v == "on" || v == "true" || v == "1") {
-        enable = true;
-      } else if (v == "off" || v == "false" || v == "0") {
-        enable = false;
-      } else {
-        return Status::InvalidArgument(
-            "SET trace expects on/off (got '" + stmt.value.AsString() + "')");
-      }
-    } else {
-      return Status::InvalidArgument("SET trace expects on/off");
-    }
+    RECDB_ASSIGN_OR_RETURN(bool enable, ParseOnOff(stmt));
     trace_enabled_ = enable;
     ResultSet rs;
     rs.message = std::string("trace ") + (enable ? "enabled" : "disabled");
     return rs;
   }
   if (stmt.option == "background_refresh") {
-    bool enable;
-    if (stmt.value.type() == TypeId::kInt64) {
-      enable = stmt.value.AsInt() != 0;
-    } else if (stmt.value.type() == TypeId::kString) {
-      std::string v = ToLower(stmt.value.AsString());
-      if (v == "on" || v == "true" || v == "1") {
-        enable = true;
-      } else if (v == "off" || v == "false" || v == "0") {
-        enable = false;
-      } else {
-        return Status::InvalidArgument(
-            "SET background_refresh expects on/off (got '" +
-            stmt.value.AsString() + "')");
-      }
-    } else {
-      return Status::InvalidArgument("SET background_refresh expects on/off");
-    }
+    RECDB_ASSIGN_OR_RETURN(bool enable, ParseOnOff(stmt));
     background_refresh_.store(enable);
     ResultSet rs;
     rs.message =
@@ -827,10 +815,8 @@ Result<ResultSet> RecDB::ExecuteSelect(const SelectStatement& stmt) {
   Stopwatch watch;
   obs::Tracer* tracer = active_tracer_.get();
   int plan_span = tracer != nullptr ? tracer->BeginSpan("plan") : -1;
-  Planner planner(catalog_.get(), &registry_, options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto planned, planner.PlanSelect(stmt));
-  Optimizer optimizer(options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto plan, optimizer.Optimize(std::move(planned.plan)));
+  RECDB_ASSIGN_OR_RETURN(auto planned, PlanSelect(stmt));
+  const PlanNodePtr& plan = planned.plan;
   if (plan_span >= 0) tracer->EndSpan(plan_span);
 
   NotifyRecommendQuery(*plan);
@@ -1049,41 +1035,35 @@ void RecDB::ScheduleBackgroundRefresh(const std::string& name) {
 }
 
 void RecDB::BackgroundRefreshJob(const std::string& name) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    Recommender::RefreshPlan plan;
-    {
-      std::shared_lock<std::shared_mutex> lock(state_mu_);
-      if (closed_.load()) return;
-      // Re-resolve by name under every lock acquisition: the recommender
-      // may have been DROPped (and destroyed) while this job was queued.
-      auto rec = registry_.Get(name);
-      if (!rec.ok()) return;
-      auto prepared = rec.value()->PrepareRefresh();
-      if (!prepared.ok() || !prepared.value().valid) {
-        // Nothing to merge (a foreground refresh beat us) or the prepare
-        // failed; either way the slot frees up for the next trigger.
-        rec.value()->ClearRefreshScheduled();
-        return;
-      }
-      plan = std::move(prepared).value();
-    }
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
+  Recommender::RefreshPlan plan;
+  {
+    std::shared_lock<std::shared_mutex> lock(state_mu_);
     if (closed_.load()) return;
+    // Re-resolve by name under each lock acquisition: the recommender may
+    // have been DROPped (and destroyed) while this job was queued.
     auto rec = registry_.Get(name);
     if (!rec.ok()) return;
-    if (rec.value()->CommitRefresh(std::move(plan))) {
+    auto prepared = rec.value()->PrepareRefresh();
+    if (!prepared.ok() || !prepared.value().valid()) {
+      // Nothing to merge (a foreground refresh beat us) or the prepare
+      // failed; either way the slot frees up for the next trigger.
       rec.value()->ClearRefreshScheduled();
       return;
     }
-    // Version conflict: writes landed between prepare and commit. Retry
-    // once off-lock, then give up racing and merge under the writer lock.
+    plan = std::move(prepared).value();
   }
   std::unique_lock<std::shared_mutex> lock(state_mu_);
+  if (closed_.load()) return;
   auto rec = registry_.Get(name);
   if (!rec.ok()) return;
+  // Writes that landed during the prepare stay behind as the new delta. A
+  // plan whose base a foreground refresh or build replaced is discarded.
+  (void)rec.value()->CommitRefresh(std::move(plan));
   rec.value()->ClearRefreshScheduled();
-  if (closed_.load()) return;
-  (void)rec.value()->Refresh();
+  // Those writes found this job in flight and scheduled none of their own.
+  if (background_refresh_.load() && rec.value()->NeedsRefresh()) {
+    ScheduleBackgroundRefresh(name);
+  }
 }
 
 Result<bool> RecDB::RefreshRecommender(const std::string& name) {

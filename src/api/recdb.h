@@ -200,6 +200,9 @@ class RecDB {
   Result<ResultSet> RunStatements(
       const std::vector<std::unique_ptr<Statement>>& stmts);
   Result<ResultSet> ExecuteStatement(const Statement& stmt);
+  /// Plan and optimize one SELECT — the single planning path behind
+  /// SELECT, EXPLAIN [ANALYZE] and Explain().
+  Result<PlannedQuery> PlanSelect(const SelectStatement& stmt);
   Result<ResultSet> ExecuteSelect(const SelectStatement& stmt);
   Result<ResultSet> ExecuteCreateTable(const CreateTableStatement& stmt);
   Result<ResultSet> ExecuteInsert(const InsertStatement& stmt);

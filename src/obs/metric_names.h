@@ -126,7 +126,7 @@
   X(kIngestRefreshes, "ingest.refreshes", "refreshes",                        \
     "delta re-freeze/merge cycles committed (incremental maintenance)")       \
   X(kIngestRefreshConflicts, "ingest.refresh_conflicts", "conflicts",         \
-    "re-freeze commits aborted because the matrix version moved")             \
+    "prepared refresh plans discarded because the base changed")              \
   X(kIngestRefreshesScheduled, "ingest.refreshes_scheduled", "jobs",          \
     "background re-freeze jobs submitted to the TaskScheduler")               \
   X(kIngestCsrBuilds, "ingest.csr_builds", "builds",                          \

@@ -36,9 +36,11 @@ struct ModelUpdate {
   std::vector<int64_t> stale_users;
   std::vector<int64_t> stale_items;
   /// Set by models with no incremental form: the commit must rebuild the
-  /// model from scratch over the merged matrix (and invalidate the whole
-  /// score index) instead of patching rows. Without this a base-class model
-  /// would silently stay stale until the next full retrain.
+  /// model from scratch over the whole current matrix — ops that landed
+  /// after the prepare included, so it leaves no delta behind — and
+  /// invalidate the whole score index instead of patching rows. Without
+  /// this a base-class model would silently stay stale until the next full
+  /// retrain.
   bool full_rebuild = false;
 
   bool empty() const {

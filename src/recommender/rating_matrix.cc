@@ -62,52 +62,43 @@ FlatCsr BuildCsr(const std::vector<std::vector<RatingEntry>>& rows) {
 }  // namespace
 
 void RatingMatrix::Freeze() {
-  if (frozen_) {
-    // An already-frozen matrix with a pending overlay merges it; without
-    // one there is nothing to do (full rebuilds call Freeze first so they
-    // always train over flat merged state).
-    if (has_delta()) Refreeze();
-    return;
-  }
-  user_csr_ = BuildCsr(by_user_);
-  item_csr_ = BuildCsr(by_item_);
-  frozen_ = true;
-  obs::Count(obs::Counter::kIngestCsrBuilds);
+  // Full rebuilds call Freeze first so they always train over flat merged
+  // state; a frozen matrix without a delta has nothing to merge.
+  if (frozen_ && !has_delta()) return;
+  CommitRefreeze(BuildMergedCsr(), delta_size());
 }
 
 RatingMatrix::MergedCsr RatingMatrix::BuildMergedCsr() const {
   MergedCsr merged;
   merged.user = BuildCsr(by_user_);
   merged.item = BuildCsr(by_item_);
-  merged.version = version_;
   obs::Count(obs::Counter::kIngestCsrBuilds);
   return merged;
 }
 
-bool RatingMatrix::CommitRefreeze(MergedCsr&& merged) {
-  if (merged.version != version_) return false;
+void RatingMatrix::CommitRefreeze(MergedCsr&& merged, size_t n) {
+  RECDB_DCHECK(n <= delta_ops_.size());
   user_csr_ = std::move(merged.user);
   item_csr_ = std::move(merged.item);
   frozen_ = true;
-  ClearOverlay();
-  return true;
-}
-
-void RatingMatrix::Refreeze() {
-  if (frozen_ && !has_delta()) return;
-  user_csr_ = BuildCsr(by_user_);
-  item_csr_ = BuildCsr(by_item_);
-  frozen_ = true;
-  ClearOverlay();
-  obs::Count(obs::Counter::kIngestCsrBuilds);
-}
-
-void RatingMatrix::ClearOverlay() {
-  overlay_active_ = false;
-  user_side_.clear();
-  item_side_.clear();
-  tombstones_.clear();
-  delta_ops_.clear();
+  ++refreezes_;
+  delta_ops_.erase(delta_ops_.begin(),
+                   delta_ops_.begin() + static_cast<ptrdiff_t>(n));
+  // Side rows are full copies of the current rows, so the ones a kept op
+  // touched are already right over the new base; every other row reads the
+  // same from the base as from its side row.
+  std::unordered_map<int32_t, SideRow> user_side, item_side;
+  for (const DeltaOp& op : delta_ops_) {
+    if (auto it = user_side_.find(op.user_idx); it != user_side_.end()) {
+      user_side.insert(user_side_.extract(it));
+    }
+    if (auto it = item_side_.find(op.item_idx); it != item_side_.end()) {
+      item_side.insert(item_side_.extract(it));
+    }
+  }
+  user_side_ = std::move(user_side);
+  item_side_ = std::move(item_side);
+  overlay_active_ = !delta_ops_.empty();
 }
 
 void RatingMatrix::RefreshUserSideRow(int32_t user_idx) {
@@ -169,7 +160,6 @@ RatingChange RatingMatrix::DoAdd(int64_t user_id, int64_t item_id,
     delta_ops_.push_back(DeltaOp{new_in_user ? DeltaOp::Kind::kAdd
                                              : DeltaOp::Kind::kOverwrite,
                                  u, i});
-    tombstones_.erase(PairKey(u, i));  // a re-add revives a removed pair
   }
   return new_in_user ? RatingChange::kInserted : RatingChange::kOverwritten;
 }
@@ -179,7 +169,6 @@ RatingChange RatingMatrix::Add(int64_t user_id, int64_t item_id,
   int32_t u = -1, i = -1;
   RatingChange change = DoAdd(user_id, item_id, rating, &u, &i);
   if (change == RatingChange::kUnchanged) return change;
-  ++version_;
   if (frozen_) RefreshSideRows(u, i);
   return change;
 }
@@ -210,7 +199,6 @@ bool RatingMatrix::DoRemove(int64_t user_id, int64_t item_id, int32_t* out_u,
   rating_sum_ -= *existing;
   if (frozen_) {
     delta_ops_.push_back(DeltaOp{DeltaOp::Kind::kRemove, *u, *i});
-    tombstones_.insert(PairKey(*u, *i));
   }
   return true;
 }
@@ -218,7 +206,6 @@ bool RatingMatrix::DoRemove(int64_t user_id, int64_t item_id, int32_t* out_u,
 bool RatingMatrix::Remove(int64_t user_id, int64_t item_id) {
   int32_t u = -1, i = -1;
   if (!DoRemove(user_id, item_id, &u, &i)) return false;
-  ++version_;
   if (frozen_) RefreshSideRows(u, i);
   return true;
 }
@@ -258,11 +245,10 @@ RatingMatrix::BatchResult RatingMatrix::ApplyBatch(
     items.push_back(i);
   }
   if (res.effective_ops() == 0) return res;
-  // One version bump and one side-row copy per touched row for the whole
-  // statement — the point of the batched path. Side rows are full merged
-  // copies, so refreshing them once against the final state is identical
-  // to refreshing after every op.
-  ++version_;
+  // One side-row copy per touched row for the whole statement — the point
+  // of the batched path. Side rows are full merged copies, so refreshing
+  // them once against the final state is identical to refreshing after
+  // every op.
   if (frozen_) {
     std::sort(users.begin(), users.end());
     users.erase(std::unique(users.begin(), users.end()), users.end());
@@ -336,8 +322,7 @@ size_t RatingMatrix::CsrApproxBytes() const {
     total += sizeof(int32_t) + row.idx.capacity() * sizeof(int32_t) +
              row.rating.capacity() * sizeof(double);
   }
-  total += delta_ops_.capacity() * sizeof(DeltaOp) +
-           tombstones_.size() * sizeof(uint64_t);
+  total += delta_ops_.capacity() * sizeof(DeltaOp);
   return total;
 }
 

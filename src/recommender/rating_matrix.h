@@ -5,21 +5,21 @@
 // mapped to dense indices. Both user-major and item-major views are kept so
 // item-item and user-user algorithms each get their natural access pattern.
 //
-// Freeze contract (PR 7): Freeze() builds a flat-CSR base for both
-// orientations. After that, Add/Remove no longer invalidate the frozen state;
-// instead they maintain a *delta overlay* — per-orientation side rows (full
-// merged copies of every touched row, in SoA form), a tombstone set for
-// removals, and an append-only op log. CsrRow access becomes a merge view:
-// rows with delta entries resolve to their side row, untouched rows to the
-// base CSR, so batch kernels see exactly what a rebuilt CSR would contain,
-// byte for byte. A background re-freeze (BuildMergedCsr + CommitRefreeze)
-// folds the overlay back into a fresh base and clears it.
+// Freeze contract: Freeze() builds a flat-CSR base for both orientations.
+// After that, Add/Remove no longer invalidate the frozen state; instead they
+// maintain a *delta overlay* — per-orientation side rows (full merged copies
+// of every touched row, in SoA form) and an append-only op log. CsrRow
+// access becomes a merge view: rows with delta entries resolve to their side
+// row, untouched rows to the base CSR, so batch kernels see exactly what a
+// rebuilt CSR would contain, byte for byte (a removal simply leaves its pair
+// out of the side row). A re-freeze (BuildMergedCsr, then CommitRefreeze)
+// installs a base merged from ops [0, n) and keeps ops [n, m) — writes that
+// landed in between — as the new overlay over it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -80,14 +80,13 @@ class RatingMatrix {
   RatingMatrix() = default;
 
   /// Add one rating. A repeated (user, item) pair overwrites the old rating;
-  /// overwriting with the *same* value is a complete no-op (no version bump,
-  /// no delta op, no sum adjustment — see RatingChange). While frozen, the
+  /// overwriting with the *same* value is a complete no-op (no delta op, no sum adjustment — see RatingChange). While frozen, the
   /// mutation lands in the delta overlay instead of invalidating the CSR.
   RatingChange Add(int64_t user_id, int64_t item_id, double rating);
 
   /// Remove a rating; returns false if it was not present. Interned ids
   /// remain (a user/item with no ratings keeps an empty vector). While
-  /// frozen, the removal lands in the overlay (side rows + tombstone).
+  /// frozen, the removal lands in the overlay (side rows + op log).
   bool Remove(int64_t user_id, int64_t item_id);
 
   /// One op of a multi-row statement fed to ApplyBatch.
@@ -110,12 +109,12 @@ class RatingMatrix {
     size_t effective_ops() const { return inserted + overwritten + removed; }
   };
 
-  /// Apply one statement's rating mutations as a single versioned delta
-  /// batch: ops land in order (each still logs its own DeltaOp, so model
-  /// maintenance sees every mutation), but the version counter bumps once
-  /// and each touched overlay side row is re-copied once per batch instead
-  /// of once per row — the batched path a multi-row INSERT/UPDATE/DELETE
-  /// takes. Equivalent to the per-op loop in everything but work done.
+  /// Apply one statement's rating mutations as a single delta batch: ops
+  /// land in order (each still logs its own DeltaOp, so model maintenance
+  /// sees every mutation), but each touched overlay side row is re-copied
+  /// once per batch instead of once per row — the batched path a multi-row
+  /// INSERT/UPDATE/DELETE takes. Equivalent to the per-op loop in everything
+  /// but work done.
   BatchResult ApplyBatch(const std::vector<BatchRatingOp>& ops);
 
   size_t NumUsers() const { return user_ids_.size(); }
@@ -158,51 +157,42 @@ class RatingMatrix {
 
   /// Build the flat-CSR form of both orientations. First call freezes the
   /// matrix; on an already-frozen matrix with a pending delta this merges
-  /// the overlay into a fresh base (Refreeze), and with no delta it is a
-  /// no-op. Model factories call this at build time so batch kernels can
-  /// assume flat storage.
+  /// the whole overlay into a fresh base (CommitRefreeze with n =
+  /// delta_size()), and with no delta it is a no-op. Model factories call
+  /// this at build time so batch kernels can assume flat storage.
   void Freeze();
   bool frozen() const { return frozen_; }
 
   // --- delta overlay -------------------------------------------------------
 
-  /// True when mutations have landed in the overlay since the last freeze.
+  /// True when the overlay holds mutations the base does not.
   bool has_delta() const { return !delta_ops_.empty(); }
-  /// Number of ops in the delta log since the last (re)freeze.
+  /// Number of ops in the delta log: effective mutations not in the base.
   size_t delta_size() const { return delta_ops_.size(); }
   /// The op log itself (model maintenance scopes touched rows from it).
   const std::vector<DeltaOp>& delta_ops() const { return delta_ops_; }
-  /// True if (user_idx, item_idx) was removed since the last freeze and not
-  /// re-added — the overlay's tombstone set.
-  bool IsTombstoned(int32_t user_idx, int32_t item_idx) const {
-    return tombstones_.count(PairKey(user_idx, item_idx)) > 0;
-  }
-  size_t NumTombstones() const { return tombstones_.size(); }
 
-  /// Monotonic mutation counter: bumps on every effective Add/Remove (once
-  /// per ApplyBatch). A re-freeze prepared against version V commits only
-  /// if the matrix is still at V (optimistic two-phase refresh).
-  uint64_t version() const { return version_; }
+  /// Number of bases installed so far (the first Freeze included). A
+  /// refresh plan compares it at commit time to tell whether another
+  /// refresh or build replaced the base it was prepared against.
+  uint64_t refreezes() const { return refreezes_; }
 
-  /// A re-freeze candidate: both orientations rebuilt from the merged rows,
-  /// stamped with the matrix version it was built from. Const — safe to run
-  /// under a shared lock while readers score through the overlay.
+  /// A re-freeze candidate: both orientations rebuilt from the merged rows
+  /// as they stand at delta op delta_size(). Const — safe to run under a
+  /// shared lock while readers score through the overlay.
   struct MergedCsr {
     FlatCsr user;
     FlatCsr item;
-    uint64_t version = 0;
   };
   MergedCsr BuildMergedCsr() const;
 
-  /// Swap a prepared MergedCsr in as the new base and clear the overlay.
-  /// Returns false (and changes nothing) if the matrix version moved since
-  /// the candidate was built — the caller retries or falls back to an
-  /// exclusive Refreeze().
-  bool CommitRefreeze(MergedCsr&& merged);
-
-  /// Merge the overlay into a fresh base in one step (caller holds the
-  /// writer lock). No-op when there is no delta.
-  void Refreeze();
+  /// Install `merged`, built when the log held `n` ops, as the new base.
+  /// Ops [0, n) are dropped; ops [n, delta_size()), which landed after the
+  /// build, stay behind as the new delta over that base, keeping the side
+  /// rows they touched. The result is the overlay state of "re-freeze after
+  /// op n, then apply the rest live", so the commit cannot conflict. The
+  /// caller guarantees no other re-freeze ran since the build.
+  void CommitRefreeze(MergedCsr&& merged, size_t n);
 
   /// CSR row views — the merge view. Rows touched by the delta overlay
   /// resolve to their side row (a full merged copy, byte-identical to what
@@ -260,18 +250,13 @@ class RatingMatrix {
     std::vector<double> rating;
   };
 
-  static uint64_t PairKey(int32_t user_idx, int32_t item_idx) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(user_idx)) << 32) |
-           static_cast<uint32_t>(item_idx);
-  }
-
   int32_t InternUser(int64_t user_id);
   int32_t InternItem(int64_t item_id);
   static void Upsert(std::vector<RatingEntry>* vec, int32_t idx,
                      double rating, bool* was_new);
   /// Mutation cores shared by the per-row and batched paths: everything an
-  /// Add/Remove does except the version bump and the side-row refresh,
-  /// which the caller performs once (per op, or per batch).
+  /// Add/Remove does except the side-row refresh, which the caller performs
+  /// once (per op, or per batch).
   RatingChange DoAdd(int64_t user_id, int64_t item_id, double rating,
                      int32_t* out_u, int32_t* out_i);
   bool DoRemove(int64_t user_id, int64_t item_id, int32_t* out_u,
@@ -281,7 +266,6 @@ class RatingMatrix {
   void RefreshSideRows(int32_t user_idx, int32_t item_idx);
   void RefreshUserSideRow(int32_t user_idx);
   void RefreshItemSideRow(int32_t item_idx);
-  void ClearOverlay();
 
   std::vector<int64_t> user_ids_;
   std::vector<int64_t> item_ids_;
@@ -299,9 +283,8 @@ class RatingMatrix {
   bool overlay_active_ = false;
   std::unordered_map<int32_t, SideRow> user_side_;
   std::unordered_map<int32_t, SideRow> item_side_;
-  std::unordered_set<uint64_t> tombstones_;
   std::vector<DeltaOp> delta_ops_;
-  uint64_t version_ = 0;
+  uint64_t refreezes_ = 0;
 };
 
 }  // namespace recdb

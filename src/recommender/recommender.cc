@@ -38,7 +38,6 @@ void Recommender::AddRating(int64_t user_id, int64_t item_id, double rating) {
   const size_t delta_before = matrix_->delta_size();
   RatingChange change = matrix_->Add(user_id, item_id, rating);
   if (change == RatingChange::kUnchanged) return;
-  ++pending_updates_;
   obs::Count(change == RatingChange::kInserted
                  ? obs::Counter::kIngestDeltaAdds
                  : obs::Counter::kIngestDeltaOverwrites);
@@ -53,7 +52,6 @@ void Recommender::AddRating(int64_t user_id, int64_t item_id, double rating) {
 void Recommender::RemoveRating(int64_t user_id, int64_t item_id) {
   const size_t delta_before = matrix_->delta_size();
   if (!matrix_->Remove(user_id, item_id)) return;
-  ++pending_updates_;
   obs::Count(obs::Counter::kIngestDeltaRemoves);
   const size_t landed = matrix_->delta_size() - delta_before;
   if (landed > 0) {
@@ -68,7 +66,6 @@ void Recommender::ApplyRatingBatch(
   const size_t delta_before = matrix_->delta_size();
   RatingMatrix::BatchResult res = matrix_->ApplyBatch(ops);
   if (res.effective_ops() == 0) return;
-  pending_updates_ += res.effective_ops();
   obs::Count(obs::Counter::kIngestDeltaAdds, res.inserted);
   obs::Count(obs::Counter::kIngestDeltaOverwrites, res.overwritten);
   obs::Count(obs::Counter::kIngestDeltaRemoves, res.removed);
@@ -145,7 +142,6 @@ Result<double> Recommender::Build() {
   }
   model_ = std::move(model);
   base_size_ = matrix_->NumRatings();
-  pending_updates_ = 0;
   if (delta_cleared > 0) {
     obs::AddGauge(obs::Gauge::kIngestDeltaPending,
                   -static_cast<int64_t>(delta_cleared));
@@ -162,27 +158,36 @@ Result<Recommender::RefreshPlan> Recommender::PrepareRefresh() const {
   Stopwatch watch;
   plan.csr = matrix_->BuildMergedCsr();
   plan.ops = matrix_->delta_size();
+  plan.base_size = matrix_->NumRatings();
   auto update = model_->PrepareDeltaUpdate(matrix_->delta_ops());
   RECDB_RETURN_NOT_OK(update.status());
   plan.update = std::move(update).value();
-  plan.valid = true;
+  plan.refreezes = matrix_->refreezes();
+  plan.matrix = matrix_;
   obs::ObserveUs(obs::Histogram::kIngestRefreshUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return plan;
 }
 
 bool Recommender::CommitRefresh(RefreshPlan&& plan) {
-  if (!plan.valid) return false;
-  Stopwatch watch;
-  if (!matrix_->CommitRefreeze(std::move(plan.csr))) {
+  if (!plan.valid()) return false;
+  if (plan.matrix != matrix_ || plan.refreezes != matrix_->refreezes()) {
+    // A foreground Refresh() or Build() installed a new base first, or the
+    // recommender was re-created: the plan's ops are no longer a prefix of
+    // this delta log.
     obs::Count(obs::Counter::kIngestRefreshConflicts);
     return false;
   }
+  Stopwatch watch;
+  const size_t delta_before = matrix_->delta_size();
+  matrix_->CommitRefreeze(std::move(plan.csr), plan.ops);
+  base_size_ = plan.base_size;
   InvalidatedPairs pairs;
   if (plan.update.full_rebuild) {
-    // The model has no incremental form: retrain it from the merged (now
-    // base) matrix and drop every cached score — nothing narrower is known
-    // to be safe.
+    // The model has no incremental form: retrain it over the whole current
+    // matrix — ops kept since the prepare included, since the build merges
+    // them too — and drop every cached score; nothing narrower is known to
+    // be safe.
     std::vector<int64_t> users;
     score_index_.ForEach([&](int64_t user, int64_t, double) {
       if (users.empty() || users.back() != user) users.push_back(user);
@@ -196,6 +201,7 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
     std::unique_ptr<RecModel> rebuilt =
         BuildModel(config_.algorithm, matrix_, config_);
     if (rebuilt != nullptr) model_ = std::move(rebuilt);
+    base_size_ = matrix_->NumRatings();
     obs::Count(obs::Counter::kIngestFullRebuilds);
     obs::Count(obs::Counter::kModelBuilds);
   } else {
@@ -209,10 +215,8 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
     }
     model_->ApplyDeltaUpdate(std::move(plan.update));
   }
-  base_size_ = matrix_->NumRatings();
-  pending_updates_ = 0;
   obs::AddGauge(obs::Gauge::kIngestDeltaPending,
-                -static_cast<int64_t>(plan.ops));
+                -static_cast<int64_t>(delta_before - matrix_->delta_size()));
   obs::Count(obs::Counter::kIngestRefreshes);
   obs::ObserveUs(obs::Histogram::kIngestSwapUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
@@ -223,9 +227,9 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
 Result<bool> Recommender::Refresh() {
   auto plan = PrepareRefresh();
   RECDB_RETURN_NOT_OK(plan.status());
-  if (!plan.value().valid) return false;
+  if (!plan.value().valid()) return false;
   // Prepare and commit run back to back on one thread (writer lock held),
-  // so the version cannot move and the commit cannot conflict.
+  // so no op lands in between and the whole delta merges.
   return CommitRefresh(std::move(plan).value());
 }
 

@@ -2,13 +2,14 @@
 //
 // Owns one RatingMatrix (frozen base + delta overlay), the built RecModel,
 // the pre-computation index (RecScoreIndex) and the maintenance policy.
-// PR-7 lifecycle: ingest lands in the matrix's delta overlay without
+// Lifecycle: ingest lands in the matrix's delta overlay without
 // invalidating the frozen CSR, scoring reads the merge view, and
 // maintenance is *incremental* — a two-phase refresh (PrepareRefresh off
-// the writer lock, CommitRefresh under it) merges the overlay into a fresh
-// base and patches only the model rows the delta touched. A full retrain
-// happens only at Build() time (CREATE RECOMMENDER / recovery), never in
-// response to a statement.
+// the writer lock, CommitRefresh under it) merges delta ops [0, n) into a
+// fresh base and patches only the model rows they touched. Ops that land
+// between the two phases stay behind as the next delta, so a commit never
+// conflicts with writers. A full retrain happens only at Build() time
+// (CREATE RECOMMENDER / recovery), never in response to a statement.
 #pragma once
 
 #include <algorithm>
@@ -71,7 +72,7 @@ class Recommender {
   void RemoveRating(int64_t user_id, int64_t item_id);
 
   /// Batched ingest: apply one statement's rating mutations as a single
-  /// versioned delta batch (RatingMatrix::ApplyBatch), with one delta-
+  /// delta batch (RatingMatrix::ApplyBatch), with one delta-
   /// pending gauge adjustment and one invalidation-listener callback for
   /// the whole statement. Per-op DeltaOps and maintenance pressure are
   /// identical to the per-row loop.
@@ -86,8 +87,8 @@ class Recommender {
   /// threshold (or no model exists yet).
   bool NeedsRebuild() const {
     if (model_ == nullptr) return true;
-    if (base_size_ == 0) return pending_updates_ > 0;
-    return static_cast<double>(pending_updates_) >=
+    if (base_size_ == 0) return pending_updates() > 0;
+    return static_cast<double>(pending_updates()) >=
            config_.rebuild_threshold * static_cast<double>(base_size_);
   }
 
@@ -120,24 +121,33 @@ class Recommender {
 
   // --- two-phase incremental refresh ---------------------------------------
 
-  /// Everything a re-freeze needs, prepared against one matrix version:
-  /// the merged CSR candidate and the model row updates. Building it only
-  /// reads, so it can run off the writer lock while readers score through
-  /// the overlay.
+  /// Everything a re-freeze needs, prepared against delta ops [0, ops) of
+  /// one base: the merged CSR candidate and the model row updates. Building
+  /// it only reads, so it can run off the writer lock while readers score
+  /// through the overlay.
   struct RefreshPlan {
+    /// The matrix and base the plan was prepared against. Holding the
+    /// pointer keeps a dropped recommender's matrix alive, so a re-created
+    /// one can never match it.
+    std::shared_ptr<const RatingMatrix> matrix;
+    uint64_t refreezes = 0;
     RatingMatrix::MergedCsr csr;
     ModelUpdate update;
     size_t ops = 0;
-    bool valid = false;
+    /// Ratings count at op `ops`: the model size the N% policy measures.
+    size_t base_size = 0;
+
+    /// False when there was nothing to do (no model or no delta).
+    bool valid() const { return matrix != nullptr; }
   };
 
-  /// Prepare a refresh plan (shared lock is enough). valid=false when
-  /// there is nothing to do (no model or no delta).
+  /// Prepare a refresh plan (shared lock is enough).
   Result<RefreshPlan> PrepareRefresh() const;
 
-  /// Install a prepared plan (writer lock required). Returns false without
-  /// changing anything if the matrix version moved since the plan was
-  /// prepared — the caller retries or falls back to Refresh().
+  /// Install a prepared plan (writer lock required). Ops that landed after
+  /// the prepare stay pending as the new delta. Returns false, changing
+  /// nothing, for an invalid plan or one whose base another refresh or
+  /// build has since replaced (counted in ingest.refresh_conflicts).
   bool CommitRefresh(RefreshPlan&& plan);
 
   /// One-step refresh under the writer lock: prepare + commit. Returns
@@ -177,7 +187,6 @@ class Recommender {
     matrix_->Freeze();
     model_ = std::move(model);
     base_size_ = matrix_->NumRatings();
-    pending_updates_ = 0;
   }
 
   /// The matrix scoring reads (frozen base + overlay merge view). The
@@ -187,7 +196,9 @@ class Recommender {
   const RatingMatrix& live() const { return *matrix_; }
   RatingMatrix* mutable_matrix() { return matrix_.get(); }
 
-  size_t pending_updates() const { return pending_updates_; }
+  /// Effective rating ops not yet merged into the model's base: the delta
+  /// log, including ops kept behind by a refresh commit.
+  size_t pending_updates() const { return matrix_->delta_size(); }
   size_t base_size() const { return base_size_; }
 
   /// Pre-computed score store (paper Section IV-C); populated by the cache
@@ -217,7 +228,6 @@ class Recommender {
   std::shared_ptr<RatingMatrix> matrix_;
   std::unique_ptr<RecModel> model_;
   size_t base_size_ = 0;
-  size_t pending_updates_ = 0;
   std::atomic<bool> refresh_scheduled_{false};
   std::function<void(const InvalidatedPairs&)> invalidation_listener_;
   RecScoreIndex score_index_;

@@ -9,24 +9,6 @@
 
 namespace recdb::spatial {
 
-Rect Rect::Union(const Rect& o) const {
-  return Rect{std::min(min_x, o.min_x), std::min(min_y, o.min_y),
-              std::max(max_x, o.max_x), std::max(max_y, o.max_y)};
-}
-
-double Rect::MinDistance(const Point& p) const {
-  double dx = 0, dy = 0;
-  if (p.x < min_x)
-    dx = min_x - p.x;
-  else if (p.x > max_x)
-    dx = p.x - max_x;
-  if (p.y < min_y)
-    dy = min_y - p.y;
-  else if (p.y > max_y)
-    dy = p.y - max_y;
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 Geometry Geometry::MakePoint(double x, double y) {
   return Geometry(GeometryType::kPoint, {Point{x, y}});
 }
@@ -36,20 +18,6 @@ Geometry Geometry::MakePolygon(std::vector<Point> ring) {
   if (ring.size() > 1 && ring.front() == ring.back()) ring.pop_back();
   RECDB_DCHECK(ring.size() >= 3);
   return Geometry(GeometryType::kPolygon, std::move(ring));
-}
-
-Rect Geometry::Mbr() const {
-  Rect r{std::numeric_limits<double>::max(),
-         std::numeric_limits<double>::max(),
-         std::numeric_limits<double>::lowest(),
-         std::numeric_limits<double>::lowest()};
-  for (const auto& p : ring_) {
-    r.min_x = std::min(r.min_x, p.x);
-    r.min_y = std::min(r.min_y, p.y);
-    r.max_x = std::max(r.max_x, p.x);
-    r.max_y = std::max(r.max_y, p.y);
-  }
-  return r;
 }
 
 std::string Geometry::ToString() const {

@@ -23,24 +23,6 @@ struct Point {
   bool operator==(const Point& o) const { return x == o.x && y == o.y; }
 };
 
-/// Axis-aligned bounding rectangle.
-struct Rect {
-  double min_x = 0, min_y = 0, max_x = 0, max_y = 0;
-
-  bool Contains(const Point& p) const {
-    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
-  }
-  bool Intersects(const Rect& o) const {
-    return min_x <= o.max_x && o.min_x <= max_x && min_y <= o.max_y &&
-           o.min_y <= max_y;
-  }
-  /// Smallest rectangle covering both.
-  Rect Union(const Rect& o) const;
-  double Area() const { return (max_x - min_x) * (max_y - min_y); }
-  /// Minimum distance from the rectangle to a point (0 if inside).
-  double MinDistance(const Point& p) const;
-};
-
 enum class GeometryType { kPoint, kPolygon };
 
 /// Immutable geometry: a point or a simple (non-self-intersecting) polygon.
@@ -57,9 +39,6 @@ class Geometry {
     return ring_[0];
   }
   const std::vector<Point>& ring() const { return ring_; }
-
-  /// Minimum bounding rectangle.
-  Rect Mbr() const;
 
   /// WKT-style rendering, e.g. "POINT(1 2)" / "POLYGON((0 0, 1 0, 1 1))".
   std::string ToString() const;

@@ -229,6 +229,27 @@ TEST(ConcurrentSessionTest, ReadersScanAcrossBackgroundRefreshSwaps) {
   EXPECT_FALSE(rec.value()->snapshot()->has_delta());
   EXPECT_TRUE(NoPinsLeaked(db->buffer_pool()));
 
+  // However the refreshes interleaved with the writes, the result must be
+  // the model a fresh build over the final Ratings table gives, bit for bit.
+  ASSERT_TRUE(db->Execute("CREATE RECOMMENDER Fresh ON Ratings USERS FROM uid "
+                          "ITEMS FROM iid RATINGS FROM ratingval "
+                          "USING ItemCosCF")
+                  .ok());
+  auto fresh = db->registry()->Get("Fresh");
+  ASSERT_TRUE(fresh.ok());
+  const RatingMatrix& m = rec.value()->live();
+  ASSERT_EQ(m.user_ids(), fresh.value()->live().user_ids());
+  ASSERT_EQ(m.item_ids(), fresh.value()->live().item_ids());
+  std::vector<double> got(m.NumItems()), want(m.NumItems());
+  for (int64_t user : m.user_ids()) {
+    rec.value()->model()->PredictBatch(user, m.item_ids(), got);
+    fresh.value()->model()->PredictBatch(user, m.item_ids(), want);
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], want[k]) << "user " << user << " item "
+                                 << m.item_ids()[k];
+    }
+  }
+
   reader_sessions.clear();
   writer_session.reset();
   ASSERT_TRUE(db->Close().ok());

@@ -760,6 +760,33 @@ TEST(SetStatementTest, ParallelismValidation) {
   EXPECT_EQ(TaskScheduler::Global().num_threads(), 2u);
 }
 
+TEST(SetStatementTest, OnOffOptionsAcceptTheSameSpellings) {
+  RecDB db;
+  for (const char* option : {"trace", "background_refresh"}) {
+    SCOPED_TRACE(option);
+    const std::string set = std::string("SET ") + option + " = ";
+    for (const char* on : {"on", "'TRUE'", "1", "'1'", "7"}) {
+      auto r = db.Execute(set + on);
+      ASSERT_TRUE(r.ok()) << on;
+      EXPECT_EQ(r.value().message, std::string(option) + " enabled") << on;
+    }
+    for (const char* off : {"off", "'false'", "0", "'0'"}) {
+      auto r = db.Execute(set + off);
+      ASSERT_TRUE(r.ok()) << off;
+      EXPECT_EQ(r.value().message, std::string(option) + " disabled") << off;
+    }
+    // Each option names itself in its errors.
+    auto bad = db.Execute(set + "'maybe'");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().message(),
+              "SET " + std::string(option) + " expects on/off (got 'maybe')");
+    auto wrong_type = db.Execute(set + "1.5");
+    ASSERT_FALSE(wrong_type.ok());
+    EXPECT_EQ(wrong_type.status().message(),
+              "SET " + std::string(option) + " expects on/off");
+  }
+}
+
 TEST(SetStatementTest, OptionsParallelismAppliesAtConstruction) {
   ParallelismGuard guard;
   RecDBOptions opts;

@@ -2,16 +2,18 @@
 // model maintenance, background re-freeze, and the ingest metrics contract.
 //
 // The load-bearing invariant throughout: scoring through the delta overlay
-// (frozen base + side rows + tombstones) is *bit-identical* — EXPECT_EQ on
+// (frozen base + side rows) is *bit-identical* — EXPECT_EQ on
 // doubles, no tolerance — to scoring over a matrix rebuilt from scratch with
 // the same contents, and an incremental CF refresh produces neighborhood
 // rows bit-identical to a full retrain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/recdb.h"
@@ -112,6 +114,30 @@ std::vector<double> ScoreGrid(const Recommender& rec) {
   return out;
 }
 
+// Every merge-view row of `a` equals the same row of `b`, byte for byte.
+void ExpectSameCsrRows(const RatingMatrix& a, const RatingMatrix& b) {
+  ASSERT_EQ(a.NumUsers(), b.NumUsers());
+  ASSERT_EQ(a.NumItems(), b.NumItems());
+  for (size_t u = 0; u < a.NumUsers(); ++u) {
+    CsrRow ra = a.UserCsrRow(static_cast<int32_t>(u));
+    CsrRow rb = b.UserCsrRow(static_cast<int32_t>(u));
+    ASSERT_EQ(ra.n, rb.n) << "user row " << u;
+    for (size_t k = 0; k < ra.n; ++k) {
+      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "user row " << u;
+      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "user row " << u;
+    }
+  }
+  for (size_t i = 0; i < a.NumItems(); ++i) {
+    CsrRow ra = a.ItemCsrRow(static_cast<int32_t>(i));
+    CsrRow rb = b.ItemCsrRow(static_cast<int32_t>(i));
+    ASSERT_EQ(ra.n, rb.n) << "item row " << i;
+    for (size_t k = 0; k < ra.n; ++k) {
+      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "item row " << i;
+      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "item row " << i;
+    }
+  }
+}
+
 constexpr RecAlgorithm kCfAlgorithms[] = {
     RecAlgorithm::kItemCosCF, RecAlgorithm::kItemPearCF,
     RecAlgorithm::kUserCosCF, RecAlgorithm::kUserPearCF};
@@ -144,62 +170,36 @@ TEST(DeltaOverlayTest, MergeViewRowsMatchRebuiltMatrixBitwise) {
   ASSERT_EQ(a.NumRatings(), b.NumRatings());
   // Identical op sequences touch rating_sum_ with identical float ops.
   EXPECT_EQ(a.GlobalMean(), b.GlobalMean());
-
-  for (size_t u = 0; u < a.NumUsers(); ++u) {
-    CsrRow ra = a.UserCsrRow(static_cast<int32_t>(u));
-    CsrRow rb = b.UserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(ra.n, rb.n) << "user row " << u;
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "user row " << u;
-      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "user row " << u;
-    }
-  }
-  for (size_t i = 0; i < a.NumItems(); ++i) {
-    CsrRow ra = a.ItemCsrRow(static_cast<int32_t>(i));
-    CsrRow rb = b.ItemCsrRow(static_cast<int32_t>(i));
-    ASSERT_EQ(ra.n, rb.n) << "item row " << i;
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "item row " << i;
-      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "item row " << i;
-    }
-  }
+  ExpectSameCsrRows(a, b);
 
   // Re-freezing A merges the overlay; rows must still match.
   a.Freeze();
   EXPECT_FALSE(a.has_delta());
-  for (size_t u = 0; u < a.NumUsers(); ++u) {
-    CsrRow ra = a.UserCsrRow(static_cast<int32_t>(u));
-    CsrRow rb = b.UserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(ra.n, rb.n);
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.rating[k], rb.rating[k]);
-    }
-  }
+  ExpectSameCsrRows(a, b);
 }
 
 TEST(DeltaOverlayTest, SameValueOverwriteIsCompleteNoOp) {
   // Regression (PR 7 bugfix): re-inserting an identical rating used to
   // invalidate the frozen matrix and, worse, "adjust" rating_sum_ by
   // (new - old) == 0.0 — which in IEEE arithmetic can still drift the sum.
-  // It must now be a complete no-op: no version bump, no delta op, no
-  // frozen-state change, GlobalMean bit-identical.
+  // It must now be a complete no-op: no delta op, no frozen-state change,
+  // GlobalMean bit-identical.
   RatingMatrix m;
   ApplyToMatrix(&m, BaseOps());
   m.Freeze();
   const double mean_before = m.GlobalMean();
-  const uint64_t version_before = m.version();
 
   EXPECT_EQ(m.Add(1, 1, 4.0), RatingChange::kUnchanged);  // base value is 4
   EXPECT_TRUE(m.frozen());
   EXPECT_FALSE(m.has_delta());
-  EXPECT_EQ(m.version(), version_before);
+  EXPECT_EQ(m.delta_size(), 0u);
   EXPECT_EQ(m.GlobalMean(), mean_before);  // exact, not NEAR
 
   // A real overwrite does adjust the sum (by new - old, not by re-adding).
   EXPECT_EQ(m.Add(1, 1, 2.0), RatingChange::kOverwritten);
   EXPECT_TRUE(m.frozen());
   EXPECT_TRUE(m.has_delta());
-  EXPECT_EQ(m.version(), version_before + 1);
+  EXPECT_EQ(m.delta_size(), 1u);
   EXPECT_EQ(*m.Get(1, 1), 2.0);
   EXPECT_EQ(m.NumRatings(), BaseOps().size());
 }
@@ -213,8 +213,6 @@ TEST(DeltaOverlayTest, TombstoneRemovesAndReAddRevives) {
 
   ASSERT_TRUE(m.Remove(1, 1));
   EXPECT_TRUE(m.frozen());
-  EXPECT_TRUE(m.IsTombstoned(u, i));
-  EXPECT_EQ(m.NumTombstones(), 1u);
   EXPECT_FALSE(m.Get(1, 1).has_value());
   // The merge view must not serve the removed entry.
   CsrRow row = m.UserCsrRow(u);
@@ -222,7 +220,6 @@ TEST(DeltaOverlayTest, TombstoneRemovesAndReAddRevives) {
 
   // Re-adding the pair revives it in place.
   m.Add(1, 1, 3.5);
-  EXPECT_FALSE(m.IsTombstoned(u, i));
   EXPECT_EQ(*m.Get(1, 1), 3.5);
   row = m.UserCsrRow(u);
   bool found = false;
@@ -235,25 +232,51 @@ TEST(DeltaOverlayTest, TombstoneRemovesAndReAddRevives) {
   EXPECT_TRUE(found);
 }
 
-TEST(DeltaOverlayTest, CommitRefreezeDetectsVersionConflict) {
-  RatingMatrix m;
-  ApplyToMatrix(&m, BaseOps());
-  m.Freeze();
-  m.Add(1, 2, 4.0);
-  auto merged = m.BuildMergedCsr();
-  // A write lands between prepare and commit: the stale candidate must be
-  // rejected without touching the matrix.
-  m.Add(3, 2, 2.0);
-  EXPECT_FALSE(m.CommitRefreeze(std::move(merged)));
-  EXPECT_TRUE(m.has_delta());
-  EXPECT_TRUE(m.frozen());
+TEST(DeltaOverlayTest, CommitRefreezeKeepsOpsAfterThePrefixAsTheDelta) {
+  // A re-freeze built at op n and committed after more ops landed must
+  // leave the overlay exactly as "re-freeze at op n, then apply the rest".
+  const std::vector<Op> prefix = {
+      {Op::Kind::kAdd, 1, 2, 4.0},
+      {Op::Kind::kRemove, 2, 1, 0},
+      {Op::Kind::kAdd, 99, 1, 5.0},
+  };
+  const std::vector<Op> tail = {
+      {Op::Kind::kAdd, 3, 1, 2.0},   // new pair
+      {Op::Kind::kRemove, 1, 2, 0},  // a pair the prefix added
+      {Op::Kind::kAdd, 98, 2, 1.0},  // new user
+      {Op::Kind::kAdd, 4, 76, 3.0},  // new item
+  };
+  RatingMatrix late, serial;
+  for (RatingMatrix* m : {&late, &serial}) {
+    ApplyToMatrix(m, BaseOps());
+    m->Freeze();
+    ApplyToMatrix(m, prefix);
+  }
+  const size_t n = late.delta_size();
+  auto merged = late.BuildMergedCsr();
+  ApplyToMatrix(&late, tail);
+  late.CommitRefreeze(std::move(merged), n);
 
-  auto merged2 = m.BuildMergedCsr();
-  EXPECT_TRUE(m.CommitRefreeze(std::move(merged2)));
-  EXPECT_FALSE(m.has_delta());
-  EXPECT_TRUE(m.frozen());
-  EXPECT_EQ(*m.Get(1, 2), 4.0);
-  EXPECT_EQ(*m.Get(3, 2), 2.0);
+  serial.Freeze();
+  ApplyToMatrix(&serial, tail);
+
+  ASSERT_EQ(late.delta_size(), tail.size());
+  ASSERT_EQ(late.delta_size(), serial.delta_size());
+  for (size_t k = 0; k < late.delta_size(); ++k) {
+    EXPECT_EQ(late.delta_ops()[k].kind, serial.delta_ops()[k].kind);
+    EXPECT_EQ(late.delta_ops()[k].user_idx, serial.delta_ops()[k].user_idx);
+    EXPECT_EQ(late.delta_ops()[k].item_idx, serial.delta_ops()[k].item_idx);
+  }
+  EXPECT_EQ(late.refreezes(), serial.refreezes());
+  ExpectSameCsrRows(late, serial);
+  EXPECT_FALSE(late.Get(1, 2).has_value());
+  EXPECT_EQ(*late.Get(98, 2), 1.0);
+
+  // Merging the kept tail lands on the same base.
+  late.Freeze();
+  serial.Freeze();
+  EXPECT_FALSE(late.has_delta());
+  ExpectSameCsrRows(late, serial);
 }
 
 // ------------------------------------------------------------ golden scoring
@@ -392,6 +415,149 @@ TEST(IngestGoldenTest, SvdFoldInIsDeterministicAndKeepsTrainedRowsFixed) {
     if (after1[6 * 7 + c] != 0.0) folded_user_scores = true;
   }
   EXPECT_TRUE(folded_user_scores);
+}
+
+// Ops landing between PrepareRefresh and CommitRefresh: an insert of a new
+// pair, a new user and a new item, a delete of a base pair and of a pair
+// MutationOps added, and an overwrite.
+std::vector<Op> LateOps() {
+  return {
+      {Op::Kind::kAdd, 3, 1, 2.0},     // new pair
+      {Op::Kind::kAdd, 97, 2, 4.0},    // new user
+      {Op::Kind::kAdd, 5, 76, 3.0},    // new item...
+      {Op::Kind::kAdd, 97, 76, 1.0},   // ...rated by the new user too
+      {Op::Kind::kRemove, 4, 1, 0},    // base pair
+      {Op::Kind::kRemove, 1, 2, 0},    // pair MutationOps added
+      {Op::Kind::kAdd, 5, 2, 4.5},     // overwrite (base value is 1)
+  };
+}
+
+// PredictBatch over every (user, item) the matrix knows, user-major.
+std::vector<double> AllScores(const Recommender& rec) {
+  const RatingMatrix& m = rec.live();
+  std::vector<double> out;
+  std::vector<double> row(m.NumItems());
+  for (int64_t user : m.user_ids()) {
+    rec.model()->PredictBatch(user, m.item_ids(), row);
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+std::vector<std::tuple<int64_t, int64_t, double>> IndexEntries(
+    const Recommender& rec) {
+  std::vector<std::tuple<int64_t, int64_t, double>> out;
+  rec.score_index().ForEach([&](int64_t user, int64_t item, double score) {
+    out.emplace_back(user, item, score);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ExpectSameScores(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]) << "pair " << k;
+}
+
+// Everything a reader or the maintenance policy can observe.
+void ExpectSameServingState(const Recommender& a, const Recommender& b) {
+  ExpectSameScores(AllScores(a), AllScores(b));
+  ExpectSameCsrRows(a.live(), b.live());
+  EXPECT_EQ(a.live().delta_size(), b.live().delta_size());
+  EXPECT_EQ(a.pending_updates(), b.pending_updates());
+  EXPECT_EQ(a.base_size(), b.base_size());
+  EXPECT_EQ(a.NeedsRefresh(), b.NeedsRefresh());
+  EXPECT_EQ(a.NeedsRebuild(), b.NeedsRebuild());
+  EXPECT_EQ(IndexEntries(a), IndexEntries(b));
+}
+
+TEST(IngestGoldenTest, RefreshCommitKeepsWritesThatLandAfterPrepare) {
+  // `late` prepares after MutationOps, takes LateOps, then commits. `serial`
+  // refreshes after MutationOps and then takes LateOps. The commit must not
+  // lose or merge the late ops: both must serve the same state.
+  for (RecAlgorithm algo : kAllAlgorithms) {
+    SCOPED_TRACE(RecAlgorithmToString(algo));
+    RecommenderConfig cfg = MakeConfig(algo);
+    cfg.min_refresh_ops = 4;
+    Recommender late(cfg), serial(cfg);
+    for (Recommender* rec : {&late, &serial}) {
+      ApplyToRecommender(rec, BaseOps());
+      ASSERT_TRUE(rec->Build().ok());
+      for (int64_t u : {1, 3, 5, 8}) ASSERT_TRUE(rec->MaterializeUser(u).ok());
+      ApplyToRecommender(rec, MutationOps());
+    }
+    auto plan = late.PrepareRefresh();
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(plan.value().valid());
+    ApplyToRecommender(&late, LateOps());
+    ASSERT_TRUE(late.CommitRefresh(std::move(plan).value()));
+
+    auto refreshed = serial.Refresh();
+    ASSERT_TRUE(refreshed.ok());
+    ASSERT_TRUE(refreshed.value());
+    ApplyToRecommender(&serial, LateOps());
+
+    ASSERT_EQ(late.live().delta_size(), LateOps().size());
+    EXPECT_TRUE(late.NeedsRefresh());
+    ExpectSameServingState(late, serial);
+
+    // Merging the kept ops brings both to the same base, and CF to a full
+    // retrain over the final ratings.
+    for (Recommender* rec : {&late, &serial}) {
+      auto merged = rec->Refresh();
+      ASSERT_TRUE(merged.ok());
+      ASSERT_TRUE(merged.value());
+    }
+    EXPECT_EQ(late.pending_updates(), 0u);
+    ExpectSameServingState(late, serial);
+    if (algo == RecAlgorithm::kSVD) continue;
+    Recommender scratch(cfg);
+    ApplyToRecommender(&scratch, BaseOps());
+    ApplyToRecommender(&scratch, MutationOps());
+    ApplyToRecommender(&scratch, LateOps());
+    ASSERT_TRUE(scratch.Build().ok());
+    ExpectSameScores(AllScores(late), AllScores(scratch));
+  }
+}
+
+TEST(IngestGoldenTest, StalePlanIsDiscardedAndCountedAsConflict) {
+  Recommender rec(MakeConfig(RecAlgorithm::kItemCosCF));
+  Recommender other(MakeConfig(RecAlgorithm::kItemCosCF));
+  for (Recommender* r : {&rec, &other}) {
+    ApplyToRecommender(r, BaseOps());
+    ASSERT_TRUE(r->Build().ok());
+    ApplyToRecommender(r, MutationOps());
+  }
+  auto stale = rec.PrepareRefresh();
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(stale.value().valid());
+  auto foreign = rec.PrepareRefresh();
+  ASSERT_TRUE(foreign.ok());
+  // A foreground refresh installs a new base first; one more op lands.
+  ASSERT_TRUE(rec.Refresh().ok());
+  rec.AddRating(3, 1, 2.0);
+  const std::vector<double> scores = AllScores(rec);
+  const size_t delta = rec.live().delta_size();
+  const size_t base = rec.base_size();
+  const uint64_t conflicts =
+      MetricsRegistry::Global().Snapshot().counters[static_cast<size_t>(
+          Counter::kIngestRefreshConflicts)];
+
+  EXPECT_FALSE(rec.CommitRefresh(std::move(stale).value()));
+  ExpectSameScores(AllScores(rec), scores);
+  EXPECT_EQ(rec.live().delta_size(), delta);
+  EXPECT_EQ(rec.base_size(), base);
+
+  // A plan is bound to the matrix it was prepared on, even when another
+  // recommender's base has been installed as many times.
+  ASSERT_EQ(other.live().refreezes(), foreign.value().refreezes);
+  EXPECT_FALSE(other.CommitRefresh(std::move(foreign).value()));
+  EXPECT_TRUE(other.live().has_delta());
+
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().counters[static_cast<size_t>(
+                Counter::kIngestRefreshConflicts)],
+            conflicts + 2);
 }
 
 // ------------------------------------------------------------ policy & metrics

@@ -1,24 +1,17 @@
 // Spatial tests: geometry predicates against hand-built fixtures, WKT round
-// trips, R-tree vs brute force (parameterized), and the paper's Section V
-// location-aware queries through SQL (ST_Contains / ST_DWithin / CScore).
+// trips, and the paper's Section V location-aware queries through SQL
+// (ST_Contains / ST_DWithin / CScore).
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "api/recdb.h"
 #include "common/rng.h"
 #include "spatial/geometry.h"
-#include "spatial/rtree.h"
 
 namespace recdb {
 namespace {
 
-using spatial::Distance;
 using spatial::Geometry;
 using spatial::Point;
-using spatial::Rect;
-using spatial::RTree;
-using spatial::RTreeEntry;
 using spatial::STContains;
 using spatial::STDistance;
 using spatial::STDWithin;
@@ -84,100 +77,6 @@ TEST(GeometryTest, WktRoundTrip) {
   EXPECT_FALSE(Geometry::FromString("CIRCLE(1 2 3)").ok());
   EXPECT_FALSE(Geometry::FromString("POINT(1)").ok());
   EXPECT_FALSE(Geometry::FromString("POLYGON((0 0, 1 1))").ok());
-}
-
-TEST(GeometryTest, MbrAndRectOps) {
-  auto poly = Geometry::MakePolygon({{1, 2}, {5, -1}, {3, 7}});
-  Rect mbr = poly.Mbr();
-  EXPECT_DOUBLE_EQ(mbr.min_x, 1);
-  EXPECT_DOUBLE_EQ(mbr.min_y, -1);
-  EXPECT_DOUBLE_EQ(mbr.max_x, 5);
-  EXPECT_DOUBLE_EQ(mbr.max_y, 7);
-  Rect other{10, 10, 12, 12};
-  EXPECT_FALSE(mbr.Intersects(other));
-  Rect u = mbr.Union(other);
-  EXPECT_DOUBLE_EQ(u.max_x, 12);
-  EXPECT_DOUBLE_EQ(u.MinDistance(Point{1, 2}), 0.0);
-  EXPECT_DOUBLE_EQ(other.MinDistance(Point{10, 7}), 3.0);
-}
-
-class RTreeTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(RTreeTest, MatchesBruteForceOnRandomWorkload) {
-  const size_t fanout = GetParam();
-  Rng rng(500 + fanout);
-  std::vector<RTreeEntry> entries;
-  for (int i = 0; i < 800; ++i) {
-    entries.push_back(RTreeEntry{
-        Point{rng.UniformDouble(0, 100), rng.UniformDouble(0, 100)}, i});
-  }
-  RTree tree(entries, fanout);
-  EXPECT_EQ(tree.size(), 800u);
-
-  for (int q = 0; q < 25; ++q) {
-    double x = rng.UniformDouble(0, 90), y = rng.UniformDouble(0, 90);
-    Rect rect{x, y, x + rng.UniformDouble(1, 30), y + rng.UniformDouble(1, 30)};
-    auto got = tree.QueryRect(rect);
-    std::vector<int64_t> expect;
-    for (const auto& e : entries) {
-      if (rect.Contains(e.point)) expect.push_back(e.id);
-    }
-    std::sort(got.begin(), got.end());
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(got, expect) << "rect query " << q;
-
-    Point c{rng.UniformDouble(0, 100), rng.UniformDouble(0, 100)};
-    double r = rng.UniformDouble(1, 25);
-    auto got_r = tree.QueryRadius(c, r);
-    std::vector<int64_t> expect_r;
-    for (const auto& e : entries) {
-      if (Distance(e.point, c) <= r) expect_r.push_back(e.id);
-    }
-    std::sort(got_r.begin(), got_r.end());
-    std::sort(expect_r.begin(), expect_r.end());
-    EXPECT_EQ(got_r, expect_r) << "radius query " << q;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fanouts, RTreeTest, ::testing::Values(2, 4, 8, 16, 64));
-
-TEST(RTreeTest, PolygonQueryAndPruning) {
-  std::vector<RTreeEntry> entries;
-  for (int x = 0; x < 30; ++x) {
-    for (int y = 0; y < 30; ++y) {
-      entries.push_back(RTreeEntry{Point{static_cast<double>(x),
-                                         static_cast<double>(y)},
-                                   x * 30 + y});
-    }
-  }
-  RTree tree(entries, 16);
-  auto tri = Geometry::MakePolygon({{0, 0}, {6, 0}, {0, 6}});
-  auto got = tree.QueryPolygon(tri);
-  std::vector<int64_t> expect;
-  for (const auto& e : entries) {
-    if (STContains(tri, Geometry::MakePoint(e.point.x, e.point.y))) {
-      expect.push_back(e.id);
-    }
-  }
-  std::sort(got.begin(), got.end());
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(got, expect);
-  // A small query must not touch the whole tree.
-  tree.QueryRect(Rect{0, 0, 2, 2});
-  size_t small_visit = tree.last_nodes_visited();
-  tree.QueryRect(Rect{-1, -1, 31, 31});
-  size_t full_visit = tree.last_nodes_visited();
-  EXPECT_LT(small_visit, full_visit / 2);
-}
-
-TEST(RTreeTest, EmptyAndSingleton) {
-  RTree empty({}, 8);
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_TRUE(empty.QueryRect(Rect{-100, -100, 100, 100}).empty());
-  RTree one({RTreeEntry{Point{5, 5}, 42}}, 8);
-  auto got = one.QueryRadius(Point{5, 6}, 2);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 42);
 }
 
 // ------------------------- Section V case study through SQL ---------------
